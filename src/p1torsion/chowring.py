@@ -7,15 +7,21 @@ relation x^2 = -c1 x - c2, so every class has a normal form a + b x with
 base classes a, b.  Fiber integration is pi_*(a + b x) = b.
 
 All arithmetic in this module is exact; there is no floating point anywhere.
+A base class is stored per symbol, ConstExpr[c1, c2] = (+)_symbol
+symbol * Q[c1, c2] (the "parts" of numerics): each symbol owns integer
+numerators of monomials c1^a c2^b over one common denominator, so a product
+is one integer polynomial product per pair of symbols of which one is ONE.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .numerics import ConstExpr, ZERO_EXPR, ONE_EXPR, const_to_json, harmonic
-from .series import LaurentSeries
-from .specfun import bernoulli, gs_r_series, zeta_neg
+from .numerics import (ConstExpr, ONE_EXPR, const_to_json, parts_coeff,
+                       parts_from, parts_keys, parts_product, parts_scale,
+                       parts_select, parts_sum)
+from .series import LaurentSeries, build_cos_scaled, build_inv_sin_half
+from .specfun import bernoulli, gs_r_alt_series, gs_r_series
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -24,23 +30,30 @@ def _as_expr(c) -> ConstExpr:
     return c if isinstance(c, ConstExpr) else ConstExpr.rational(c)
 
 
+def _degree(key) -> int:
+    return 2 * key[0] + 4 * key[1]
+
+
 class BaseClass:
     """Polynomial in c1 (degree 2) and c2 (degree 4) over ConstExpr,
     truncated at total degree `cap` (an even integer)."""
 
-    __slots__ = ("_terms", "cap")
+    __slots__ = ("_parts", "cap")
 
     def __init__(self, terms=None, cap: int = DEFAULT_DEGREE_CAP):
         if cap < 0 or cap % 2:
             raise ValueError("degree cap must be a nonnegative even integer")
         self.cap = cap
-        clean = {}
-        if terms:
-            for (a, b), coeff in terms.items():
-                expr = _as_expr(coeff)
-                if 2 * a + 4 * b <= cap and not expr.is_zero():
-                    clean[(a, b)] = expr
-        self._terms = clean
+        self._parts = parts_from((key, _as_expr(coeff))
+                                 for key, coeff in (terms or {}).items()
+                                 if _degree(key) <= cap)
+
+    @staticmethod
+    def _make(parts: dict, cap: int) -> "BaseClass":
+        out = object.__new__(BaseClass)
+        out._parts = parts
+        out.cap = cap
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -68,22 +81,23 @@ class BaseClass:
     # -- queries -----------------------------------------------------------
 
     def terms(self):
-        return sorted(self._terms.items())
+        return [(key, self.coeff(*key)) for key in parts_keys(self._parts)]
 
     def coeff(self, a: int, b: int) -> ConstExpr:
-        return self._terms.get((a, b), ZERO_EXPR)
+        return parts_coeff(self._parts, (a, b))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     def graded_part(self, degree: int) -> "BaseClass":
-        return BaseClass({k: v for k, v in self._terms.items()
-                          if 2 * k[0] + 4 * k[1] == degree}, self.cap)
+        return BaseClass._make(
+            parts_select(self._parts, lambda k: k if _degree(k) == degree else None),
+            self.cap)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BaseClass):
             return NotImplemented
-        return self.cap == other.cap and self._terms == other._terms
+        return self.cap == other.cap and self._parts == other._parts
 
     def __hash__(self):
         return hash((self.cap, tuple(self.terms())))
@@ -103,10 +117,7 @@ class BaseClass:
 
     def __add__(self, other: "BaseClass") -> "BaseClass":
         self._require_same_cap(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, ZERO_EXPR) + coeff
-        return BaseClass(terms, self.cap)
+        return BaseClass._make(parts_sum(self._parts, other._parts), self.cap)
 
     def __sub__(self, other: "BaseClass") -> "BaseClass":
         return self + (-other)
@@ -115,23 +126,28 @@ class BaseClass:
         return self.scale(-1)
 
     def scale(self, c) -> "BaseClass":
-        expr = _as_expr(c)
-        return BaseClass({k: v * expr for k, v in self._terms.items()},
-                         self.cap)
+        return BaseClass._make(parts_scale(self._parts, _as_expr(c)), self.cap)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ConstExpr)):
             return self.scale(other)
         self._require_same_cap(other)
-        terms = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                if 2 * key[0] + 4 * key[1] > self.cap:
-                    continue
-                prod = c1 * c2
-                terms[key] = terms.get(key, ZERO_EXPR) + prod
-        return BaseClass(terms, self.cap)
+        cap = self.cap
+
+        def multiply(left: dict, right: dict) -> dict:
+            by_degree = sorted((_degree(k), k, y) for k, y in right.items())
+            out: dict = {}
+            for (a1, b1), x in left.items():
+                room = cap - 2 * a1 - 4 * b1
+                for degree, (a2, b2), y in by_degree:
+                    if degree > room:
+                        break
+                    key = (a1 + a2, b1 + b2)
+                    out[key] = out.get(key, 0) + x * y
+            return out
+
+        return BaseClass._make(
+            parts_product(self._parts, other._parts, multiply, _degree, cap), cap)
 
     __rmul__ = __mul__
 
@@ -398,19 +414,9 @@ def t_tilde_series(ell: int, order: int) -> LaurentSeries:
     """The R-class summand of the infinitesimally equivariant torsion:
     -cos((ell+1)t/2)/sin(t/2) * sum_{m odd}(2 zeta'(-m) + H_m zeta(-m))
     (-1)^{(m+1)/2} t^m/m!; an even power series in t."""
-    from .series import build_cos_scaled, build_inv_sin_half
-    prefactor = build_cos_scaled(ell + 1, order + 4) * \
-        build_inv_sin_half(order + 4)
-    coeffs = {}
-    fact = Fraction(1)
-    for m in range(1, order + 5):
-        fact *= m
-        if m % 2 == 1:
-            sign = Fraction((-1) ** ((m + 1) // 2), 1) / fact
-            coeffs[m] = (ConstExpr.zeta_prime(m, 2 * sign)
-                         + ConstExpr.rational(harmonic(m) * zeta_neg(m) * sign))
-    gs_alt = LaurentSeries(coeffs, 0, order + 4)
-    return (-(prefactor * gs_alt)).truncate(order).tighten()
+    prefactor = build_cos_scaled(ell + 1, order + 2) * \
+        build_inv_sin_half(order + 2)  # valid to t^(order+1)
+    return ((-prefactor) * gs_r_alt_series(order + 1)).tighten()
 
 
 def check_grr_cancellation(ell: int, cap: int = DEFAULT_DEGREE_CAP,

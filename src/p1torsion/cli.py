@@ -169,7 +169,10 @@ def _cmd_grr_check(args) -> int:
 
 def _cmd_scurrent(args) -> int:
     dps = args.precision
-    profile = _scurrent.TestProfile.from_string(args.profile)
+    try:
+        profile = _scurrent.TestProfile.from_string(args.profile)
+    except ValueError as exc:
+        raise SystemExit2(f"cannot parse --profile {args.profile!r}: {exc}")
     if args.symbolic:
         series = _scurrent.s_pairing_series(profile)
         _emit({"command": "scurrent", "profile": args.profile,
@@ -238,8 +241,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, _torsion.CancellationError,
-            _torsionform.AssemblyError, _scurrent.LicensingError,
-            ValueError) as exc:
+            _torsion.ConvergenceError, _torsionform.AssemblyError,
+            _scurrent.LicensingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional
 
 import mpmath as mp
@@ -122,7 +123,7 @@ class ConstExpr:
         clean: dict[ConstSymbol, Fraction] = {}
         if terms:
             for sym, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[sym] = c
         self._terms = clean
@@ -278,6 +279,121 @@ class ConstExpr:
 
 ZERO_EXPR = ConstExpr()
 ONE_EXPR = ConstExpr.rational(1)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over ConstExpr, stored per symbol
+# ---------------------------------------------------------------------------
+# ConstExpr (x) R = (+)_symbol symbol * R for R = Q[[t]] (LaurentSeries) or
+# Q[c1, c2] (BaseClass).  "Parts" map each symbol that occurs to
+# (den, {key: numerator}): a positive common denominator and the nonzero
+# integer numerators of its monomials, with no factor common to den and all
+# numerators, so equal values have equal parts.  A key labels a monomial:
+# the degree in t, or (a, b) for c1^a c2^b.
+
+def reduced(den: int, nums: Mapping):
+    """(den, nums) without zero entries or common factor; None if empty."""
+    if not all(nums.values()):
+        nums = {k: x for k, x in nums.items() if x}
+    if not nums:
+        return None
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: x // g for k, x in nums.items()}
+    return den, nums
+
+
+def parts_from(items) -> dict:
+    """The parts of sum_key coeff * key over (key, ConstExpr) pairs."""
+    columns: dict = {}
+    for key, c in items:
+        for sym, q in c._terms.items():
+            columns.setdefault(sym, {})[key] = q
+    parts = {}
+    for sym, col in columns.items():
+        den = lcm(*(q.denominator for q in col.values()))
+        parts[sym] = (den, {k: q.numerator * (den // q.denominator)
+                            for k, q in col.items()})
+    return parts
+
+
+def parts_sum(*summands: dict) -> dict:
+    """The sum; a symbol found in one summand only keeps its part as is."""
+    acc: dict = {}
+    combined = set()
+    for parts in summands:
+        for sym, (den, nums) in parts.items():
+            if sym not in acc:
+                acc[sym] = (den, nums)
+                continue
+            old_den, old_nums = acc[sym]
+            g = gcd(old_den, den)
+            a, b = den // g, old_den // g
+            out = {k: x * a for k, x in old_nums.items()}
+            for k, y in nums.items():
+                out[k] = out.get(k, 0) + y * b
+            acc[sym] = (old_den * a, out)
+            combined.add(sym)
+    for sym in combined:
+        acc[sym] = reduced(*acc[sym])
+    return {sym: p for sym, p in acc.items() if p}
+
+
+def parts_select(parts: dict, rekey) -> dict:
+    """Every key k moved to rekey(k), or dropped where that is None."""
+    out = {}
+    for sym, (den, nums) in parts.items():
+        moved = {new: x for k, x in nums.items() if (new := rekey(k)) is not None}
+        if (p := reduced(den, moved)):
+            out[sym] = p
+    return out
+
+
+def parts_scale(parts: dict, factor: ConstExpr) -> dict:
+    """The parts times factor; a non-rational factor meets ONE only."""
+    if factor.is_rational():
+        pairs = [(sym, p, factor.coeff(ONE)) for sym, p in parts.items()]
+    else:
+        symbolic = [sym for sym in parts if sym != ONE]
+        if symbolic:
+            raise SymbolProductError(
+                f"product of two non-rational constants: {symbolic[0]} * ({factor})")
+        pairs = [(sym, parts[ONE], q) for sym, q in factor._terms.items()
+                 if ONE in parts]
+    out = {}
+    for sym, (den, nums), q in pairs:
+        if (p := reduced(den * q.denominator,
+                         {k: x * q.numerator for k, x in nums.items()})):
+            out[sym] = p
+    return out
+
+
+def parts_product(left: dict, right: dict, multiply, weight, limit: int) -> dict:
+    """One multiply(nums, nums) per pair of symbols of which one is ONE.  Two
+    other symbols may meet only beyond the window: their lowest weights
+    (weight of a key: its degree) must add up to more than limit."""
+    products = []
+    for sym1, (den1, nums1) in left.items():
+        for sym2, (den2, nums2) in right.items():
+            if sym1 != ONE and sym2 != ONE:
+                if min(map(weight, nums1)) + min(map(weight, nums2)) <= limit:
+                    raise SymbolProductError(
+                        f"product of two non-rational constants: {sym1} * {sym2}")
+                continue
+            product = reduced(den1 * den2, multiply(nums1, nums2))
+            if product:
+                products.append({sym2 if sym1 == ONE else sym1: product})
+    return parts_sum(*products)
+
+
+def parts_coeff(parts: dict, key) -> ConstExpr:
+    return ConstExpr({sym: Fraction(nums[key], den)
+                      for sym, (den, nums) in parts.items() if key in nums})
+
+
+def parts_keys(parts: dict) -> list:
+    return sorted(set().union(*(nums for _den, nums in parts.values())))
 
 
 # ---------------------------------------------------------------------------

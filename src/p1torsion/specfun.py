@@ -378,7 +378,8 @@ def si(x, dps: int = 50):
     """Si(x) = int_0^x sin(t)/t dt."""
     xv = mp.mpf(x)
     if xv < 0:
-        return -si(-xv, dps)
+        with mp.workdps(dps):
+            return -si(-xv, dps)
     if xv <= _sici_crossover(dps):
         return _sici_taylor(xv, dps)[0]
     return _sici_asymptotic(xv, dps)[0]
@@ -490,3 +491,11 @@ def gs_r_series(order: int = DEFAULT_ORDER) -> LaurentSeries:
                     + ConstExpr.rational(harmonic(m) * zeta_neg(m)))
             coeffs[m] = expr.scale(Fraction(1, 1) / fact)
     return LaurentSeries(coeffs, 0, order)
+
+
+def gs_r_alt_series(order: int) -> LaurentSeries:
+    """-(1/i) R(i t) for the R-class series R:
+    sum_{m odd} (2 zeta'(-m) + H_m zeta(-m)) (-1)^{(m+1)/2} t^m / m!."""
+    series = gs_r_series(order)
+    return LaurentSeries({m: series.coeff(m).scale((-1) ** ((m + 1) // 2))
+                          for m in series.degrees()}, 0, order)

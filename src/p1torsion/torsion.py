@@ -28,14 +28,18 @@ from .numerics import LOG_T, ConstExpr, harmonic
 from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
-from .specfun import (ci, lerch_neg, lerch_prime_neg, r_rot_value, si,
-                      zeta_neg, zeta_prime_neg)
+from .specfun import (ci, gs_r_alt_series, lerch_neg, lerch_prime_neg,
+                      r_rot_value, si, zeta_neg)
 
 _GUARD = 10
 
 
 class CancellationError(ArithmeticError):
     """The assembled series failed a structural cancellation it must satisfy."""
+
+
+class ConvergenceError(ArithmeticError):
+    """A series did not reach the requested precision within its term cap."""
 
 
 @dataclass
@@ -248,19 +252,6 @@ def torsion_asymptotic(ell: int, t, dps: int = 50):
 # The assembled infinitesimal torsion
 # ---------------------------------------------------------------------------
 
-def _gs_alt_series(order: int) -> LaurentSeries:
-    """sum_{m odd} (2 zeta'(-m) + H_m zeta(-m)) (-1)^{(m+1)/2} t^m / m!."""
-    coeffs = {}
-    fact = Fraction(1)
-    for m in range(1, order + 1):
-        fact *= m
-        if m % 2 == 1:
-            sign = Fraction((-1) ** ((m + 1) // 2), 1) / fact
-            coeffs[m] = (ConstExpr.zeta_prime(m, 2 * sign)
-                         + ConstExpr.rational(harmonic(m) * zeta_neg(m) * sign))
-    return LaurentSeries(coeffs, 0, order)
-
-
 def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult:
     """The X-equivariant torsion as an exact even power series in t.
 
@@ -276,7 +267,8 @@ def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult
     inv_sin = build_inv_sin_half(pad)
     cos_pref = build_cos_scaled(ell + 1, pad) * inv_sin  # min_degree -1
 
-    term1 = -(cos_pref * _gs_alt_series(pad))
+    # the largest summand (one part per zeta'(-m)): form it at the final order
+    term1 = (-cos_pref).truncate(order + 1) * gs_r_alt_series(order + 1)
     term2 = LaurentSeries.zero(pad - 1)
     for m in range(2, L + 1):
         term2 = term2 + (build_sin_scaled(2 * m - L, pad) * inv_sin).scale(
@@ -292,8 +284,8 @@ def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult
             raise CancellationError(f"nonzero odd coefficient at t^{d}")
         if total.coeff(d).coeff(LOG_T) != 0:
             raise CancellationError(f"log t survives at t^{d}")
-    payload = LaurentSeries({d: total.coeff(d) for d in total.degrees()},
-                            0, order)
+    # the poles are gone and t^0 holds 4 zeta'(-1), so the window starts at 0
+    payload = total.tighten()
     return TorsionResult(payload=payload, ell=ell, path="series", order=order)
 
 
@@ -304,7 +296,8 @@ def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult
 def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
     """R~0(phi, x) = sum_k (zeta_L'(-k, phi) + zeta_L(-k, phi) H_k/2) x^k/k!.
 
-    Converges like (|x|/phi)^k; phi is an angle in (0, 2 pi) mod 2 pi."""
+    Converges like (|x|/min(phi, 2 pi - phi))^k; phi is an angle in
+    (0, 2 pi) mod 2 pi."""
     with mp.workdps(dps + _GUARD):
         phi = mp.fmod(mp.mpf(phi), 2 * mp.pi)
         if phi < 0:
@@ -329,7 +322,12 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
             if small >= 3 and k > 5:
                 break
         else:
-            raise ArithmeticError("R~0 series did not converge; need |x| < phi")
+            # the Lerch coefficients grow like k!/dist(phi, 2 pi Z)^k
+            ratio = abs(x) / min(phi, 2 * mp.pi - phi)
+            raise ConvergenceError(
+                f"R~0 series did not reach {dps} digits in {max_terms} terms; "
+                f"|x|/min(phi, 2*pi - phi) = {mp.nstr(ratio, 3)}; the terms "
+                "go like its k-th power, so it must be below 1")
         result = total
     with mp.workdps(dps):
         return +result
@@ -337,7 +335,11 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
 
 def r_two_variable(theta, x, dps: int = 50):
     """R(theta, x) = R~0(theta, x) - R~0(-theta, -x)."""
-    return r_tilde0(theta, x, dps) - r_tilde0(-mp.mpf(theta), -mp.mpmathify(x), dps)
+    with mp.workdps(dps + _GUARD):
+        theta, x = mp.mpf(theta), mp.mpmathify(x)
+        result = r_tilde0(theta, x, dps) - r_tilde0(-theta, -x, dps)
+    with mp.workdps(dps):
+        return +result
 
 
 def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):

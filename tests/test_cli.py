@@ -5,9 +5,11 @@ stdout; determinism is asserted byte-for-byte across repeated runs.
 """
 
 import json
+from functools import partial
 
 import pytest
 
+from p1torsion import torsion
 from p1torsion.cli import main
 
 
@@ -101,6 +103,14 @@ class TestScurrent:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("profile", ["x^2", "r^2*3"])
+    def test_unparseable_profile_usage_error(self, capsys, profile):
+        code, out, err = run_cli(capsys, "scurrent", "--profile", profile,
+                                 "--t", "1.0")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
 
 class TestTwoParam:
     def test_value(self, capsys):
@@ -118,6 +128,17 @@ class TestTwoParam:
                                "--s", "4.0", "--t", "3.0")
         assert code == 1
         assert "error" in err
+
+    def test_unconverged_series_is_numeric_error(self, capsys, monkeypatch):
+        # a 5-term cap stands in for the 400-term one, which the R~0 series
+        # at s = 0.05, t = 0.04 (|t|/s = 0.8) exhausts only after seconds
+        monkeypatch.setattr(torsion, "r_tilde0",
+                            partial(torsion.r_tilde0, max_terms=5))
+        code, out, err = run_cli(capsys, "two-param", "--ell", "0",
+                                 "--s", "0.05", "--t", "0.04")
+        assert code == 1
+        assert out == ""
+        assert "did not reach" in err
 
 
 class TestTorsionForm:

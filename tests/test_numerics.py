@@ -104,6 +104,7 @@ class TestEval:
         assert abs(val - mp.log(2)) < mp.mpf(10) ** -28
 
     def test_eval_const_helper(self):
+        mp.dps = 30
         val = eval_const(ConstExpr.rational(Fraction(1, 3)), dps=30)
         assert abs(val - mp.mpf(1) / 3) < mp.mpf(10) ** -28
 

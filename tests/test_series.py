@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from p1torsion.numerics import ConstExpr, harmonic
+from p1torsion.numerics import ConstExpr, SymbolProductError, harmonic
 from p1torsion.series import (LaurentSeries, ParityError, build_cos_scaled,
                               build_sin_scaled, build_exp_scaled,
                               build_inv_sin_half, star, hash_weight)
@@ -56,6 +56,39 @@ class TestArithmetic:
             assert prod.coeff(d).is_zero()
 
 
+    @pytest.mark.parametrize("f", [
+        build_exp_scaled(1, 100) + build_sin_scaled(3, 100),
+        build_sin_scaled(1, 102),
+    ], ids=["power-series", "simple-zero"])
+    def test_invert_round_trip_order_100(self, f):
+        prod = f * f.invert()
+        assert prod.order >= 100
+        assert prod.degrees() == [0]
+        assert prod.coeff(0) == ConstExpr.rational(1)
+
+    def test_invert_symbolic_to_first_order(self):
+        # 1/(2 + gamma t^3 + t^5) = 1/2 - gamma t^3/4 - t^5/4 + O(t^6)
+        f = LaurentSeries({0: ConstExpr.rational(2), 3: ConstExpr.gamma(),
+                           5: ConstExpr.rational(1)}, 0, 5)
+        g = f.invert()
+        assert g.coeff(3) == ConstExpr.gamma(Fraction(-1, 4))
+        assert g.coeff(5) == ConstExpr.rational(Fraction(-1, 4))
+        assert (f * g).degrees() == [0]
+
+    def test_invert_rejects_square_of_a_symbol(self):
+        # gamma^2 t^4 would enter at t^4 <= order
+        f = LaurentSeries({0: ConstExpr.rational(2), 2: ConstExpr.gamma()}, 0, 5)
+        with pytest.raises(SymbolProductError):
+            f.invert()
+
+    def test_product_rejects_two_symbols_inside_window(self):
+        f = LaurentSeries({1: ConstExpr.gamma()}, 0, 4)
+        g = LaurentSeries({4: ConstExpr.gamma()}, 0, 4)
+        assert (f * g).is_zero()  # gamma^2 would sit at t^5 > 4
+        with pytest.raises(SymbolProductError):
+            f * f
+
+
 class TestBuilders:
     @pytest.mark.parametrize("a", [1, 2, -3])
     def test_cos_sin_exp_match_mpmath(self, a):
@@ -74,6 +107,15 @@ class TestBuilders:
         assert f.coeff(-1) == ConstExpr.rational(2)
         assert f.coeff(1) == ConstExpr.rational(Fraction(1, 12))
         assert f.coeff(3) == ConstExpr.rational(Fraction(7, 2880))
+
+    @pytest.mark.parametrize("order", range(1, 61))
+    def test_inv_sin_half_closed_form_matches_inversion(self, order):
+        closed = build_inv_sin_half(order)
+        inverted = build_sin_scaled(1, order + 2).invert().truncate(order)
+        assert (closed.min_degree, closed.order) == (-1, order)
+        assert (inverted.min_degree, inverted.order) == (-1, order)
+        assert closed.degrees() == inverted.degrees()
+        assert closed == inverted
 
     def test_inv_sin_half_numeric(self):
         mp.dps = 40

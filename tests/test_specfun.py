@@ -173,6 +173,12 @@ class TestSiCiEi:
         assert abs(lo[0] - hi[0]) < mp.mpf(10) ** -25
         assert abs(lo_ci - hi[1]) < mp.mpf(10) ** -25
 
+    def test_si_is_odd_at_low_global_precision(self):
+        # the negation for x < 0 must run at the requested precision, not
+        # at the caller's global one
+        mp.dps = 15
+        assert specfun.si(-1, 50) + specfun.si(1, 50) == 0
+
     def test_si_large_argument_bound(self):
         mp.dps = 30
         assert abs(specfun.si(mp.mpf(10) ** 4, dps=30) - mp.pi / 2) < 1e-4

@@ -12,7 +12,7 @@ import pytest
 
 from p1torsion import specfun, torsion
 from p1torsion.numerics import eval_const
-from p1torsion.torsion import CancellationError
+from p1torsion.torsion import CancellationError, ConvergenceError
 
 
 class TestConsistencyChain:
@@ -145,6 +145,16 @@ class TestTwoParameter:
             want = 2j * specfun.r_rot_value(th, dps=40)
             assert abs(got - want) < mp.mpf(10) ** -30
 
+    def test_r_two_variable_ignores_global_precision(self):
+        mp.dps = 15
+        got = torsion.r_two_variable(1.0, 0.4j, dps=50)
+        # the 70-digit value through R~0(-theta, -x) = conj R~0(theta, x)
+        # for real theta and imaginary x, at half the cost
+        with mp.workdps(80):
+            want = 2j * mp.im(torsion.r_tilde0(1.0, 0.4j, dps=70))
+        with mp.workdps(80):
+            assert abs(got - want) < mp.mpf(10) ** -50
+
     def test_two_routes_agree_internally(self):
         # torsion_two_param raises if its Lerch route and its direct
         # bilateral-sum route disagree; a successful value is the test
@@ -185,6 +195,12 @@ class TestRTilde0:
 
     def test_divergence_guard(self):
         # |x| >= phi is outside the radius of convergence
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ConvergenceError):
             torsion.r_tilde0(mp.mpf("0.1"), mp.mpf("2.0"), dps=20,
                              max_terms=60)
+
+    def test_term_cap_inside_radius(self):
+        # |x|/phi = 0.8 converges, but not to 20 digits in 5 terms
+        with pytest.raises(ConvergenceError, match="0.8"):
+            torsion.r_tilde0(mp.mpf("0.05"), mp.mpf("0.04"), dps=20,
+                             max_terms=5)
