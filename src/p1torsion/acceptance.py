@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .numerics import ConstExpr, ZERO_EXPR
+from .numerics import ConstExpr
 from . import torsion as _torsion
 from . import scurrent as _scurrent
 from . import chowring as _chowring

@@ -20,13 +20,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import mpmath as mp
 
 Rational = Fraction
 
-_GUARD_DPS = 10
+# Guard digits: work at dps + GUARD_DPS, then round the result to dps.
+GUARD_DPS = 10
 
 
 class SymbolProductError(TypeError):
@@ -255,7 +256,7 @@ class ConstExpr:
         """
         from . import specfun  # deferred: specfun builds on this module
 
-        with mp.workdps(dps + _GUARD_DPS):
+        with mp.workdps(dps + GUARD_DPS):
             total = mp.mpf(0)
             for sym, c in self.terms():
                 coeff = mp.mpf(c.numerator) / c.denominator
@@ -270,7 +271,7 @@ class ConstExpr:
                 elif sym.kind == "LOG":
                     val = mp.log(sym.arg)
                 else:  # ZETA_PRIME
-                    val = specfun.zeta_prime_neg(sym.arg, dps=dps + _GUARD_DPS)
+                    val = specfun.zeta_prime_neg(sym.arg, dps=dps + GUARD_DPS)
                 total += coeff * val
             result = total
         with mp.workdps(dps):
@@ -432,8 +433,3 @@ def const_from_json(data: Mapping) -> ConstExpr:
         sym = symbol_from_string(item["symbol"])
         terms[sym] = terms.get(sym, Fraction(0)) + Fraction(int(item["num"]), int(item["den"]))
     return ConstExpr(terms)
-
-
-def eval_const(e: ConstExpr, dps: int = 50, logt_value=None) -> mp.mpf:
-    """Module-level alias for ConstExpr.eval."""
-    return e.eval(dps=dps, logt_value=logt_value)

@@ -7,8 +7,8 @@ through integrate() or bilateral_sum() that must agree with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
 
@@ -24,16 +24,11 @@ class AccuracyError(ArithmeticError):
 
 @dataclass
 class IntegrandSpec:
-    """An integrand together with its interval and endpoint behaviour."""
+    """An integrand together with its interval."""
 
     f: Callable
     a: float
     b: float
-    singularity: str = "none"  # none | removable | log
-
-    def __post_init__(self):
-        if self.singularity not in ("none", "removable", "log"):
-            raise ValueError(f"unknown singularity hint {self.singularity!r}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ linked by the bridge identity (g~(t)/t^2)^* = (g~(t r)/t^2)^#.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
@@ -28,40 +28,6 @@ from .series import LaurentSeries, hash_weight, star
 
 class LicensingError(ValueError):
     """Series path requested for a profile without an analytic expansion."""
-
-
-@dataclass(frozen=True)
-class P1Geometry:
-    """Fixed-point data of the standard circle action on P^1.
-
-    The Fubini-Study form is normalized to total volume 1 (int omega/2pi = 1);
-    the action rotates with angle +1 at the north pole N and -1 at the south
-    pole S on TM, and the inverse equivariant top Chern class of the normal
-    bundle takes the values -i at N and +i at S.
-    """
-
-    volume: int = 1
-    angle_north: int = 1
-    angle_south: int = -1
-    ctop_inv_north: complex = -1j
-    ctop_inv_south: complex = 1j
-
-    @staticmethod
-    def moment(u):
-        """The O(1)-moment i sin(u)/2 (imaginary part returned)."""
-        return mp.sin(u) / 2
-
-    @staticmethod
-    def x_norm_squared(u):
-        return mp.cos(u) ** 2 / 2
-
-    @staticmethod
-    def ctop_inv_prime(t):
-        """(c_top,tX^{-1})'(TM) at either pole: 1/t^2."""
-        return 1 / (mp.mpf(t) ** 2)
-
-
-GEOMETRY = P1Geometry()
 
 
 @dataclass
@@ -150,8 +116,7 @@ def s_pairing_integral(profile: TestProfile, t, dps: int = 50, tol=None):
                 return mp.mpf(0)  # removable after combining the terms
             return (2 * profile.value(r) - 2 * g1) / (1 - r * r)
 
-        quad = integrate(IntegrandSpec(integrand, -1, 1, "removable"),
-                         tol=tol, dps=dps)
+        quad = integrate(IntegrandSpec(integrand, -1, 1), tol=tol, dps=dps)
         weight = mp.log(tv * tv) + 2 * mp.euler
         return +(quad.value / tv ** 2 + weight * 2 * g1 / tv ** 2)
 

@@ -21,9 +21,10 @@ from typing import Mapping, Optional
 
 import mpmath as mp
 
-from .numerics import (ONE, ConstExpr, SymbolProductError, harmonic,
-                       parts_coeff, parts_from, parts_keys, parts_product,
-                       parts_scale, parts_select, parts_sum, reduced)
+from .numerics import (GUARD_DPS, ONE, ConstExpr, SymbolProductError,
+                       harmonic, parts_coeff, parts_from, parts_keys,
+                       parts_product, parts_scale, parts_select, parts_sum,
+                       reduced)
 
 MIN_DEGREE_CAP = -2
 DEFAULT_ORDER = 40
@@ -221,7 +222,7 @@ class LaurentSeries:
     def evaluate(self, t, logt=None, dps: int = 50):
         """Numeric value sum a_m t^m; needs t != 0 when poles are present."""
         degrees = self.degrees()
-        with mp.workdps(dps + 10):
+        with mp.workdps(dps + GUARD_DPS):
             tv = mp.mpf(t)
             if tv == 0 and self.min_degree < 0 and any(d < 0 for d in degrees):
                 raise ZeroDivisionError("evaluating a pole at t = 0")
@@ -229,7 +230,7 @@ class LaurentSeries:
                 logt = mp.log(tv)
             total = mp.mpf(0)
             for d in degrees:
-                total += self.coeff(d).eval(dps=dps + 10, logt_value=logt) * tv ** d
+                total += self.coeff(d).eval(dps=dps + GUARD_DPS, logt_value=logt) * tv ** d
         with mp.workdps(dps):
             return +total
 

@@ -22,10 +22,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import ConstExpr, harmonic
+from .numerics import GUARD_DPS, ConstExpr, harmonic
 from .series import DEFAULT_ORDER, LaurentSeries
-
-_GUARD = 10
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +77,14 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
     analytic derivative of the same Euler-Maclaurin formula).  Valid for
     real or complex s != 1 and a > 0.
     """
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         s = mp.mpmathify(s)
         a = mp.mpf(a)
         if s == 1:
             raise ValueError("Hurwitz zeta has a pole at s = 1")
         # Choose the shift N and correction depth J for the target precision.
-        N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * (dps + _GUARD)))
-        J = dps + _GUARD
+        N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * (dps + GUARD_DPS)))
+        J = dps + GUARD_DPS
         X = N + a
         logX = mp.log(X)
         head = mp.mpf(0)
@@ -114,7 +112,7 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
                 break  # asymptotic series started diverging
             tail += term
             prev = abs(term)
-            if prev < mp.mpf(10) ** (-(dps + _GUARD) - 5):
+            if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
                 break
         result = head + pole + mid + tail
     with mp.workdps(dps):
@@ -128,16 +126,16 @@ def stieltjes_gamma1(a, dps: int = 50):
     accelerated by Euler-Maclaurin corrections for f(x) = log(x)/x, whose
     derivatives are f^{(n)}(x) = (-1)^n n! (log x - H_n)/x^{n+1}.
     """
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         a = mp.mpf(a)
-        N = int(1.4 * (dps + _GUARD)) + 10
+        N = int(1.4 * (dps + GUARD_DPS)) + 10
         X = N + a
         logX = mp.log(X)
         total = mp.fsum(mp.log(n + a) / (n + a) for n in range(N))
         total -= logX ** 2 / 2
         total += logX / (2 * X)  # the f(X)/2 endpoint term
         prev = mp.inf
-        for j in range(1, dps + _GUARD):
+        for j in range(1, dps + GUARD_DPS):
             b = bernoulli(2 * j)
             coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
             h = harmonic(2 * j - 1)
@@ -147,7 +145,7 @@ def stieltjes_gamma1(a, dps: int = 50):
                 break
             total += term
             prev = abs(term)
-            if prev < mp.mpf(10) ** (-(dps + _GUARD) - 5):
+            if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
                 break
         result = total
     with mp.workdps(dps):
@@ -169,7 +167,7 @@ def zeta_prime_neg(m: int, dps: int = 50):
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("zeta_prime_neg is defined here only for odd m >= 1")
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         zneg = zeta_neg(m)
         zneg_v = mp.mpf(zneg.numerator) / zneg.denominator
         ratio = mp.zeta(m + 1, derivative=1) / mp.zeta(m + 1)
@@ -218,7 +216,7 @@ def lerch_neg(k: int, phi, dps: int = 50):
     z = e^{i phi}, evaluated numerically."""
     if k < 0:
         raise ValueError("lerch_neg needs k >= 0")
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         _check_phi(phi)
         z = mp.exp(1j * mp.mpf(phi))
         num = mp.polyval(list(reversed(_negapolylog_poly(k))), z)
@@ -237,7 +235,7 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
     """
     if k < 0:
         raise ValueError("lerch_prime_neg needs k >= 0")
-    wdps = dps + _GUARD
+    wdps = dps + GUARD_DPS
     with mp.workdps(wdps):
         phi = mp.mpf(phi)
         _check_phi(phi)
@@ -278,7 +276,7 @@ def lerch_value(s, phi, dps: int = 50):
 
     Used as the continuation-path oracle; at s = -k it must match lerch_neg.
     """
-    wdps = dps + _GUARD
+    wdps = dps + GUARD_DPS
     with mp.workdps(wdps):
         s = mp.mpmathify(s)
         phi = mp.mpf(phi)
@@ -319,7 +317,7 @@ def lerch_value(s, phi, dps: int = 50):
 def _sici_taylor(x, dps: int):
     """(Si(x), Cin(x)) by Taylor series with enough guard digits to absorb
     the ~0.434*x digits of cancellation."""
-    boost = int(0.45 * abs(x)) + _GUARD
+    boost = int(0.45 * abs(x)) + GUARD_DPS
     with mp.workdps(dps + boost):
         x = mp.mpf(x)
         x2 = x * x
@@ -346,7 +344,7 @@ def _sici_asymptotic(x, dps: int):
     """(Si(x), Ci(x)) from the auxiliary expansions
     f(x) ~ sum (-1)^k (2k)!/x^{2k+1}, g(x) ~ sum (-1)^k (2k+1)!/x^{2k+2},
     truncated at the smallest term."""
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         x = mp.mpf(x)
         f = mp.mpf(0)
         g = mp.mpf(0)
@@ -403,11 +401,11 @@ def ei(x, dps: int = 50):
     xv = mp.mpf(x)
     if xv >= 0:
         raise ValueError("ei is implemented for x < 0 only")
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         total = mp.euler + mp.log(-xv)
         term = mp.mpf(1)
         k = 1
-        eps = mp.mpf(10) ** (-(dps + _GUARD))
+        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
         while True:
             term *= xv / k
             total += term / k
@@ -417,14 +415,6 @@ def ei(x, dps: int = 50):
         result = total
     with mp.workdps(dps):
         return +result
-
-
-def si_ci_ei(x, dps: int = 50):
-    """(Si(x), Ci(x), Ei(-x)) for x > 0."""
-    xv = mp.mpf(x)
-    if xv <= 0:
-        raise ValueError("si_ci_ei needs x > 0")
-    return si(xv, dps), ci(xv, dps), ei(-xv, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +444,18 @@ def r_rot_value(t, dps: int = 50):
     The zeta'(-m) terms decay geometrically like (t/2pi)^m, so the sum is
     truncated adaptively rather than at a fixed order.
     """
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         tv = mp.mpf(t)
         if not 0 < tv < 2 * mp.pi:
             raise ValueError("r_rot_value needs 0 < t < 2*pi")
         total = (mp.euler + mp.log(tv)) / tv
-        eps = mp.mpf(10) ** (-(dps + _GUARD))
+        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
         m = 1
         tpow = tv
         fact = mp.mpf(1)
         while True:
             sign = (-1) ** ((m + 1) // 2)
-            term = zeta_prime_neg(m, dps + _GUARD) * sign * tpow / fact
+            term = zeta_prime_neg(m, dps + GUARD_DPS) * sign * tpow / fact
             total -= term
             if abs(term) < eps and m > 5:
                 break

@@ -24,14 +24,13 @@ from typing import Optional
 
 import mpmath as mp
 
-from .numerics import LOG_T, ConstExpr, harmonic
+from .chowring import t_tilde_series
+from .numerics import GUARD_DPS, LOG_T, ConstExpr, harmonic
 from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
-from .specfun import (ci, gs_r_alt_series, lerch_neg, lerch_prime_neg,
-                      r_rot_value, si, zeta_neg)
-
-_GUARD = 10
+from .specfun import (ci, lerch_neg, lerch_prime_neg, r_rot_value, si,
+                      zeta_neg)
 
 
 class CancellationError(ArithmeticError):
@@ -103,12 +102,12 @@ def i_class_series(ell: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
 def i_class_value(ell: int, t, dps: int = 50):
     """Numeric I-class term for |t| < 2 pi, by adaptive summation (the
     coefficients decay like (t/2pi)^m)."""
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         tv = mp.mpf(t)
         if not 0 < abs(tv) < 2 * mp.pi:
             raise ValueError("i_class_value needs 0 < |t| < 2*pi")
         total = mp.mpf(0)
-        eps = mp.mpf(10) ** (-(dps + _GUARD))
+        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
         m = 1
         while True:
             c = _i_class_inner_coeff(m)
@@ -126,7 +125,7 @@ def i_class_direct(ell: int, t, dps: int = 50, theta: int = 1):
     """The same quantity through the defining bi-infinite sum
     sum_{k != 0} log(1 + t theta/(2 pi k))/(i t theta + 2 k pi i),
     evaluated with tail-corrected bilateral summation."""
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         tv = mp.mpf(t)
         if not 0 < abs(tv * theta) < 2 * mp.pi:
             raise ValueError("i_class_direct needs 0 < |t theta| < 2*pi")
@@ -163,6 +162,16 @@ def tdchs_series(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult:
     return TorsionResult(payload=payload, ell=ell, path="series", order=order)
 
 
+def _oscillation_breakpoints(a: int, tv):
+    """Split points of [-1, 1] at the oscillation scale of cos(a t r / 2),
+    or None when it oscillates too slowly to need them."""
+    freq = abs(a * tv) / 2
+    if freq <= 10:
+        return None
+    n = int(freq / mp.pi) + 1
+    return [mp.mpf(-1) + 2 * mp.mpf(j) / n for j in range(1, n)]
+
+
 def tdchs_value(ell: int, t, dps: int = 50, tol=None) -> TorsionResult:
     """Integral form of the same quantity, by quadrature."""
     with mp.workdps(dps):
@@ -181,14 +190,8 @@ def tdchs_value(ell: int, t, dps: int = 50, tol=None) -> TorsionResult:
                 num = r * mp.cos(a * tv * r / 2) / mp.sin(tv * r / 2) - boundary
             return num / (tv * (1 - r * r))
 
-        # Break the interval at the oscillation scale of cos(a t r / 2).
-        breakpoints = None
-        freq = abs(a * tv) / 2
-        if freq > 10:
-            n = int(freq / mp.pi) + 1
-            breakpoints = [mp.mpf(-1) + 2 * mp.mpf(j) / n for j in range(1, n)]
-        quad = integrate(IntegrandSpec(integrand, -1, 1, "removable"),
-                         tol=tol, dps=dps, breakpoints=breakpoints)
+        quad = integrate(IntegrandSpec(integrand, -1, 1), tol=tol, dps=dps,
+                         breakpoints=_oscillation_breakpoints(a, tv))
         value = quad.value + (mp.log(tv ** 2) + 2 * mp.euler) * boundary / tv
         return TorsionResult(payload=+value, ell=ell, path="quadrature",
                              precision=dps)
@@ -208,13 +211,8 @@ def oscillatory_integral_quad(ell: int, t, dps: int = 50):
             return ((mp.cos(a * tv * r / 2) - c_end)
                     / ((1 - r * r) * tv * mp.sin(tv / 2)))
 
-        breakpoints = None
-        freq = abs(a * tv) / 2
-        if freq > 10:
-            n = int(freq / mp.pi) + 1
-            breakpoints = [mp.mpf(-1) + 2 * mp.mpf(j) / n for j in range(1, n)]
-        return integrate(IntegrandSpec(integrand, -1, 1, "removable"),
-                         dps=dps, breakpoints=breakpoints).value
+        return integrate(IntegrandSpec(integrand, -1, 1), dps=dps,
+                         breakpoints=_oscillation_breakpoints(a, tv)).value
 
 
 def oscillatory_integral_sici(ell: int, t, dps: int = 50):
@@ -255,10 +253,11 @@ def torsion_asymptotic(ell: int, t, dps: int = 50):
 def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult:
     """The X-equivariant torsion as an exact even power series in t.
 
-    Assembled from three summands: the R-class-type sum against
-    -cos((ell+1)t/2)/sin(t/2), the finite log-sum, and the star term.  The
-    poles, the odd part, and any log t must cancel exactly; failure raises
-    CancellationError.
+    Assembled from three summands: the R-class summand
+    (chowring.t_tilde_series, the series the GRR cancellation checks), the
+    finite log-sum, and the star term.  The poles, the odd part, and any
+    log t must cancel exactly; failure raises CancellationError.  This is
+    the series T_ell of the torsion forms (torsionform.t_ell_series).
     """
     if order < 4:
         raise ValueError("order must be >= 4")
@@ -267,8 +266,7 @@ def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult
     inv_sin = build_inv_sin_half(pad)
     cos_pref = build_cos_scaled(ell + 1, pad) * inv_sin  # min_degree -1
 
-    # the largest summand (one part per zeta'(-m)): form it at the final order
-    term1 = (-cos_pref).truncate(order + 1) * gs_r_alt_series(order + 1)
+    term1 = t_tilde_series(ell, order)
     term2 = LaurentSeries.zero(pad - 1)
     for m in range(2, L + 1):
         term2 = term2 + (build_sin_scaled(2 * m - L, pad) * inv_sin).scale(
@@ -298,7 +296,7 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
 
     Converges like (|x|/min(phi, 2 pi - phi))^k; phi is an angle in
     (0, 2 pi) mod 2 pi."""
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         phi = mp.fmod(mp.mpf(phi), 2 * mp.pi)
         if phi < 0:
             phi += 2 * mp.pi
@@ -313,8 +311,8 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
                 xpow *= x
                 fact *= k
             h = harmonic(k)
-            coeff = (lerch_prime_neg(k, phi, dps + _GUARD)
-                     + lerch_neg(k, phi, dps + _GUARD)
+            coeff = (lerch_prime_neg(k, phi, dps + GUARD_DPS)
+                     + lerch_neg(k, phi, dps + GUARD_DPS)
                      * mp.mpf(h.numerator) / h.denominator / 2)
             term = coeff * xpow / fact
             total += term
@@ -335,7 +333,7 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
 
 def r_two_variable(theta, x, dps: int = 50):
     """R(theta, x) = R~0(theta, x) - R~0(-theta, -x)."""
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         theta, x = mp.mpf(theta), mp.mpmathify(x)
         result = r_tilde0(theta, x, dps) - r_tilde0(-theta, -x, dps)
     with mp.workdps(dps):
@@ -352,7 +350,7 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
     2 R^rot(s+t) cos/sin + log-sum - cos/sin * sum_k log(1+t/(2pi k+s))/(2pi k+t+s);
     disagreement beyond tol raises an internal-consistency error.
     """
-    with mp.workdps(dps + _GUARD):
+    with mp.workdps(dps + GUARD_DPS):
         sv, tv = mp.mpf(s), mp.mpf(t)
         if tol is None:
             tol = mp.mpf(10) ** -8
@@ -363,10 +361,10 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
             raise ValueError("need s != 0 mod 2*pi")
         a = ell + 1
         prefactor = mp.cos(a * u / 2) / mp.sin(u / 2)
-        logsum = _log_sum_value(ell, u, dps + _GUARD)
+        logsum = _log_sum_value(ell, u, dps + GUARD_DPS)
 
         if tv == 0:
-            lerch_val = torsion_group(ell, sv, dps + _GUARD)
+            lerch_val = torsion_group(ell, sv, dps + GUARD_DPS)
         else:
             R = r_two_variable(sv, 1j * tv, dps)
             lerch_val = logsum + (prefactor / 1j) * R
@@ -377,7 +375,7 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
             return mp.log(1 + tv / denom) / (denom + tv)
 
         ksum = bilateral_sum(term, dps=dps)
-        direct_val = (2 * r_rot_value(u, dps + _GUARD) * prefactor + logsum
+        direct_val = (2 * r_rot_value(u, dps + GUARD_DPS) * prefactor + logsum
                       - prefactor * ksum)
         if abs(lerch_val - direct_val) > tol:
             raise CancellationError(

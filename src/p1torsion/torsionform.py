@@ -1,12 +1,15 @@
 """Analytic torsion forms on P^1-bundles and the height of P^1 over Z.
 
 The torsion form for O(ell) on the projectivization of a rank-2 bundle E is
-e^{-(ell/2) c1(E)} T_ell(c1(E)^2 - 4 c2(E)), where T_ell is an even formal
-power series assembled from three summands: a finite log-sum, a
-harmonic-number-weighted (star) series, and the Gillet-Soule R-class
-summand.  The height computation assembles the r-class fixed-point term and
-the Bott-Chern S-term; all log t and Euler-gamma contributions must cancel
-exactly, leaving the rational value 1/2.
+e^{-(ell/2) c1(E)} T_ell(c1(E)^2 - 4 c2(E)), where T_ell is the even power
+series of the infinitesimal equivariant torsion
+(torsion.torsion_infinitesimal).  That series is checked independently by
+the GRR cancellation (chowring.check_grr_cancellation), by the closed-form
+degree-0 and t^2 coefficients, and against the numeric chain
+torsion_group - tdchs + I-class.  The height computation assembles the
+r-class fixed-point term and the Bott-Chern S-term; all log t and
+Euler-gamma contributions must cancel exactly, leaving the rational value
+1/2.
 """
 
 from __future__ import annotations
@@ -15,13 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import ConstExpr, ZERO_EXPR, harmonic
-from .series import (LaurentSeries, build_cos_scaled, build_sin_scaled,
-                     build_inv_sin_half, star)
+from .series import DEFAULT_ORDER, LaurentSeries
 from .chowring import (BaseClass, DEFAULT_DEGREE_CAP, exp_base,
-                       substitute_even_series, t_tilde_series)
+                       substitute_even_series)
 from .scurrent import TestProfile, s_pairing_star_variant
-
-DEFAULT_ORDER = 40
+from .torsion import torsion_infinitesimal
 
 
 class AssemblyError(Exception):
@@ -46,43 +47,10 @@ class TorsionFormClass:
 # The even power series T_ell
 # ---------------------------------------------------------------------------
 
-def _log_sum_series(ell: int, order: int) -> LaurentSeries:
-    """sum_{m=1}^{|ell+1|} sin((2m - |ell+1|)t/2)/sin(t/2) * log m."""
-    big_l = abs(ell + 1)
-    inv = build_inv_sin_half(order + 4)
-    total = LaurentSeries.zero(order)
-    for m in range(2, big_l + 1):
-        piece = (build_sin_scaled(2 * m - big_l, order + 4) * inv) \
-            .scale(ConstExpr.log_int(m)).truncate(order)
-        total = total + piece
-    return total
-
-
 def t_ell_series(ell: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """T_ell(-t^2) as an exact even power series: the finite log-sum, plus
-    (cos((ell+1)t/2)/(t sin(t/2)))^* with the harmonic-number star weights,
-    minus the R-class summand.
-
-    Assembled directly from the closed three-summand formula and
-    cross-checked coefficientwise against the independent assembly in the
-    torsion module; a mismatch raises AssemblyError.
-    """
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    cos_over_t_sin = (build_cos_scaled(ell + 1, order + 4)
-                      * build_inv_sin_half(order + 4)).shift(-1)
-    payload = (_log_sum_series(ell, order)
-               + star(cos_over_t_sin.truncate(order + 2)).truncate(order)
-               + t_tilde_series(ell, order))
-
-    from .torsion import torsion_infinitesimal
-    other = torsion_infinitesimal(ell, order).payload
-    for n in range(0, order + 1):
-        if payload.coeff(n) != other.coeff(n):
-            raise AssemblyError(
-                f"T_ell summand assembly disagrees at degree {n} "
-                f"(ell={ell})")
-    return payload.tighten()
+    """T_ell(-t^2) as an exact even power series: the infinitesimal
+    equivariant torsion of O(ell), assembled once in the torsion module."""
+    return torsion_infinitesimal(ell, order).payload
 
 
 def torsion_form(ell: int, cap: int = DEFAULT_DEGREE_CAP,
@@ -95,12 +63,8 @@ def torsion_form(ell: int, cap: int = DEFAULT_DEGREE_CAP,
         order = max(cap // 2 + 2, 4)
     if cap > 2 * order:
         raise ValueError("cap must be <= 2*order")
-    series = t_ell_series(ell, order)
-    for n in series.degrees():
-        if n % 2 and not series.coeff(n).is_zero():
-            raise AssemblyError(f"odd coefficient at t^{n} is nonzero")
     base = exp_base(BaseClass.c1(cap).scale(Fraction(-ell, 2))) \
-        * substitute_even_series(series, cap)
+        * substitute_even_series(t_ell_series(ell, order), cap)
     return TorsionFormClass(base=base, ell=ell, order=order)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from p1torsion import chowring
+from p1torsion import chowring, torsion
 from p1torsion.chowring import (BaseClass, BundleClass, ch_line,
                                 check_grr_cancellation, compose_nilpotent,
                                 exp_base, fiber_integrate,
@@ -200,6 +200,24 @@ class TestGrr:
         residual = check_grr_cancellation(0, 8, relation_sign=1)
         assert not residual.is_zero()
         assert grr_failure_degrees(residual)
+
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_perturbed_r_class_is_caught(self, ell, monkeypatch):
+        # the GRR side builds the R-class from gs_r_series, the closed side
+        # (t_tilde_series, shared with the torsion series) from
+        # gs_r_alt_series; a wrong alternating coefficient must show up
+        before = torsion.torsion_infinitesimal(ell, 8).payload
+        exact = chowring.gs_r_alt_series
+
+        def perturbed(order):
+            series = exact(order)
+            return series + LaurentSeries(
+                {3: ConstExpr.rational(Fraction(1, 7))}, 0, series.order)
+
+        monkeypatch.setattr(chowring, "gs_r_alt_series", perturbed)
+        residual = check_grr_cancellation(ell, 12)
+        assert grr_failure_degrees(residual)
+        assert torsion.torsion_infinitesimal(ell, 8).payload != before
 
     def test_r_term_degrees_are_even(self):
         term = grr_r_term(1, 8)

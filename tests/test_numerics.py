@@ -8,7 +8,7 @@ from mpmath import mp
 
 from p1torsion.numerics import (ConstExpr, SymbolProductError, ZERO_EXPR,
                                 ONE_EXPR, GAMMA, LOG_T, harmonic,
-                                const_to_json, const_from_json, eval_const,
+                                const_to_json, const_from_json,
                                 symbol_from_string)
 
 
@@ -105,7 +105,7 @@ class TestEval:
 
     def test_eval_const_helper(self):
         mp.dps = 30
-        val = eval_const(ConstExpr.rational(Fraction(1, 3)), dps=30)
+        val = ConstExpr.rational(Fraction(1, 3)).eval(dps=30)
         assert abs(val - mp.mpf(1) / 3) < mp.mpf(10) ** -28
 
 

@@ -16,16 +16,14 @@ class TestIntegrate:
     def test_log_endpoint_singularity(self):
         mp.dps = 40
         # int_0^1 log(x) dx = -1; tanh-sinh absorbs the endpoint blow-up
-        res = integrate(IntegrandSpec(lambda x: mp.log(x), 0, 1,
-                                      singularity="log"), dps=40)
+        res = integrate(IntegrandSpec(lambda x: mp.log(x), 0, 1), dps=40)
         assert abs(res.value + 1) < mp.mpf(10) ** -35
 
     def test_removable_singularity(self):
         mp.dps = 40
         # int_{-1}^{1} (1 - r^4)/(1 - r^2) dr = int (1 + r^2) = 8/3
         res = integrate(IntegrandSpec(
-            lambda r: (1 - r ** 4) / (1 - r ** 2), -1, 1,
-            singularity="removable"), dps=40)
+            lambda r: (1 - r ** 4) / (1 - r ** 2), -1, 1), dps=40)
         assert abs(res.value - mp.mpf(8) / 3) < mp.mpf(10) ** -30
 
     def test_breakpoints_oscillatory(self):
@@ -34,10 +32,6 @@ class TestIntegrate:
         res = integrate(IntegrandSpec(lambda x: mp.sin(10 * x), 0, mp.pi),
                         dps=30, breakpoints=pts)
         assert abs(res.value - mp.mpf(0)) < mp.mpf(10) ** -25
-
-    def test_unknown_singularity_hint(self):
-        with pytest.raises(ValueError):
-            IntegrandSpec(lambda x: x, 0, 1, singularity="pole")
 
     def test_accuracy_error_carries_partial(self):
         mp.dps = 15

@@ -152,7 +152,7 @@ class TestHashWeight:
             weight = hash_weight(f).eval(dps=30)
             oracle = integrate(IntegrandSpec(
                 lambda r, m=m: (1 - r ** (2 * m)) / (1 - r ** 2),
-                -1, 1, singularity="removable"), dps=30).value
+                -1, 1), dps=30).value
             # hash gives sum a_{2m}(2H_{2m-1} - H_{m-1}); here a = 1
             assert abs(weight - oracle) < mp.mpf(10) ** -25
 

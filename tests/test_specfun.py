@@ -39,8 +39,7 @@ class TestZetaPrimeNeg:
         - (5/24) log 2 - (1/4) log pi)."""
         mp.dps = 40
         integral = integrate(IntegrandSpec(
-            lambda x: mp.log(mp.gamma(x)), 0, mp.mpf(1) / 2,
-            singularity="log"), dps=40).value
+            lambda x: mp.log(mp.gamma(x)), 0, mp.mpf(1) / 2), dps=40).value
         log_a = mp.mpf(2) / 3 * (integral - mp.mpf(5) / 24 * mp.log(2)
                                  - mp.log(mp.pi) / 4)
         want = mp.mpf(1) / 12 - log_a
@@ -198,8 +197,7 @@ class TestSiCiEi:
         # int_0^1 (e^{-u} - 1)/(2u) du = (-EulerGamma + Ei(-1))/2
         mp.dps = 40
         lhs = integrate(IntegrandSpec(
-            lambda u: (mp.exp(-u) - 1) / (2 * u), 0, 1,
-            singularity="removable"), dps=40).value
+            lambda u: (mp.exp(-u) - 1) / (2 * u), 0, 1), dps=40).value
         rhs = (-mp.euler + specfun.ei(mp.mpf(-1), dps=40)) / 2
         assert abs(lhs - rhs) < mp.mpf(10) ** -33
 

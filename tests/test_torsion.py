@@ -11,7 +11,6 @@ from mpmath import mp
 import pytest
 
 from p1torsion import specfun, torsion
-from p1torsion.numerics import eval_const
 from p1torsion.torsion import CancellationError, ConvergenceError
 
 

@@ -1,9 +1,9 @@
 """Tests for torsion forms on P^1-bundles and the height computation.
 
-The torsion form is e^{-(ell/2) c1} T_ell(c1^2 - 4 c2); its defining series
-is assembled twice by independent summand groupings (and the constructor
-itself raises on any mismatch), and the discriminant substitution is
-checked to be invariant under twisting by a line bundle.  The height must
+The torsion form is e^{-(ell/2) c1} T_ell(c1^2 - 4 c2), where T_ell is the
+infinitesimal torsion series; the series is checked for evenness, its
+constant term and its reflection symmetry, and the discriminant
+substitution is checked to be invariant under twisting by a line bundle.  The height must
 come out exactly 1/2 with all transcendental symbols cancelling.
 """
 
@@ -12,18 +12,17 @@ from fractions import Fraction
 from mpmath import mp
 import pytest
 
-from p1torsion import torsionform
 from p1torsion.chowring import BaseClass, substitute_even_series
 from p1torsion.numerics import GAMMA, LOG_T, ConstExpr
-from p1torsion.torsionform import (AssemblyError, height_components,
-                                   height_p1z, r_class_fixed_point,
-                                   t_ell_series, torsion_form)
+from p1torsion.torsionform import (height_components, height_p1z,
+                                   r_class_fixed_point, t_ell_series,
+                                   torsion_form)
 
 
 class TestTEllSeries:
     @pytest.mark.parametrize("ell", [-5, -2, -1, 0, 1, 4])
     def test_assembly_cross_check_passes(self, ell):
-        # the constructor compares two independent assemblies coefficientwise
+        # the poles of the three summands cancel, so the series starts at t^0
         series = t_ell_series(ell, order=12)
         assert series.min_degree >= 0
 
