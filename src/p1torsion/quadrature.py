@@ -1,16 +1,31 @@
-"""High-precision integration and tail-corrected bi-infinite summation.
+"""High-precision integration and error-bounded bi-infinite summation.
 
 These routines are the numeric oracle for the series-form results: every
 closed-form value produced elsewhere in the package has an evaluation path
 through integrate() or bilateral_sum() that must agree with it.
+
+bilateral_sum() stays a direct summation over a head of 2K + 1 terms.  Its
+tail is exact: the caller gives the expansion of its term in powers of
+1/(k + shift), the tail becomes a sum of Hurwitz zeta values, and that sum
+is cut where an explicit geometric bound falls below the working
+precision.  For the torsion sums the expansion is
+log(1 + t/d)/(d + t) = sum_{n>=1} (-1)^{n+1} H_n t^n d^{-n-1}, |d| > |t|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 import mpmath as mp
+
+from .numerics import GUARD_DPS
+from .specfun import hurwitz_zeta_values
+
+HEAD_K = 20         # the head |k| <= K keeps q = rate/(K + 1 - |shift|) <= 1/20
+MAX_HEAD_K = 2000
 
 
 class AccuracyError(ArithmeticError):
@@ -61,47 +76,71 @@ def integrate(spec: IntegrandSpec, tol=None, dps: int = 50,
         return QuadResult(value=value, error_estimate=err)
 
 
-def bilateral_sum(term: Callable[[int], mp.mpf], K: int = 2000,
-                  tol=None, dps: int = 50) -> mp.mpf:
-    """Sum term(k) over all integers k, for terms with O(1/k^2) tails.
+def bilateral_sum(term: Callable[[int], mp.mpf], coeffs: Iterable, rate,
+                  shift=0, dps: int = 50) -> mp.mpf:
+    """Sum term(k) over all integers k, with an exact tail.
 
-    The +k and -k terms are paired before summation so O(1/k) parts cancel
-    analytically; the paired term f(k) = term(k) + term(-k) is then a
-    convergent series c_0/k^2 + c_1/k^3 + ... for large k.  After summing
-    |k| <= K directly, the coefficients c_i are recovered by interpolating
-    f(k) k^2 in 1/k at nodes beyond K, and the tail becomes the exact
-    combination sum_i c_i zeta(2+i, K+1) of Hurwitz zeta values.  The error
-    estimate is the shift observed when two tail-model depths are compared.
+    The caller states the expansion of its term away from the origin:
+
+        term(k) = sum_{n>=1} c_n (k + shift)^{-n-1}   for |k + shift| > rate,
+
+    with ``coeffs`` yielding c_1, c_2, ... and |c_n| <= n rate^n.  The head
+    |k| <= K stays a direct sum of 2K + 1 terms, with K = 20 unless a large
+    rate or shift needs more (at most MAX_HEAD_K).  The tail over |k| > K is
+    exact in Hurwitz zeta values:
+
+        sum_n c_n [zeta(n+1, K+1+shift) + (-1)^{n+1} zeta(n+1, K+1-shift)],
+
+    which keeps only odd n when shift = 0, and all the zeta(n+1, .) come
+    from one Euler-Maclaurin pass (specfun.hurwitz_zeta_values).  With
+    D = K + 1 - |shift| and q = rate/D, both half-lines give
+    sum_{|k|>K} |k + shift|^{-n-1} <= 2 D^{-n-1} (1 + D/n), so dropping
+    n > N costs at most (2/D) sum_{n>N} (n + D) q^n, a geometric series.
+    N is the least count that brings this below 10^-(dps + GUARD_DPS).
+    Raises AccuracyError when q >= 1, where the expansion cannot be summed.
     """
-    m = 10  # tail-model depth
-    with mp.workdps(dps + 20):
-        if tol is None:
-            tol = mp.mpf(10) ** -10
-
-        head = mp.mpf(term(0))
-        for k in range(1, K + 1):
-            head += mp.mpf(term(k)) + mp.mpf(term(-k))
-
-        def tail(depth: int):
-            nodes = [(K + 1) * (j + 1) for j in range(depth)]
-            A = mp.matrix(depth, depth)
-            rhs = mp.matrix(depth, 1)
-            for r, k in enumerate(nodes):
-                x = mp.mpf(1) / k
-                f = mp.mpf(term(k)) + mp.mpf(term(-k))
-                rhs[r] = f * k * k
-                for c in range(depth):
-                    A[r, c] = x ** c
-            coeffs = mp.lu_solve(A, rhs)
-            return mp.fsum(coeffs[i] * mp.zeta(2 + i, K + 1)
-                           for i in range(depth))
-
-        t_full = tail(m)
-        estimate = abs(t_full - tail(m - 2))
-        if estimate > tol:
+    wdps = dps + GUARD_DPS
+    with mp.workdps(wdps):
+        rate, shift = mp.mpf(rate), mp.mpf(shift)
+        K = min(max(HEAD_K, int(mp.ceil(HEAD_K * rate + abs(shift))) - 1),
+                MAX_HEAD_K)
+        D = K + 1 - abs(shift)
+        q = rate / D if D > 0 else mp.inf
+        if q >= 1:
             raise AccuracyError(
-                f"bilateral tail estimate {mp.nstr(estimate, 5)} exceeds tol",
-                partial=head + t_full, estimate=estimate)
-        result = head + t_full
+                f"bilateral tail ratio q = {mp.nstr(q, 5)} is not below 1 "
+                f"with a head of {2 * K + 1} terms", estimate=q)
+        n_terms = _tail_terms(float(D), float(q), wdps)
+        head = mp.fsum(term(k) for k in range(-K, K + 1))
+        c = list(islice(coeffs, n_terms))
+        if not n_terms:
+            tail = 0
+        elif shift == 0:
+            zeta = hurwitz_zeta_values(range(2, n_terms + 2, 2), K + 1, wdps)
+            tail = mp.fsum(2 * c[n - 1] * zeta[n + 1]
+                           for n in range(1, n_terms + 1, 2))
+        else:
+            ss = range(2, n_terms + 2)
+            right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
+            left = hurwitz_zeta_values(ss, K + 1 - shift, wdps)
+            tail = mp.fsum(c[n - 1] * (right[n + 1] - (-1) ** n * left[n + 1])
+                           for n in range(1, n_terms + 1))
+        result = head + tail
     with mp.workdps(dps):
         return +result
+
+
+def _tail_terms(D: float, q: float, wdps: int) -> int:
+    """The least N with (2/D) sum_{n>N} (n + D) q^n <= 10^-wdps, 0 <= q < 1.
+
+    sum_{n>N} q^n = q^{N+1}/(1-q) and
+    sum_{n>N} n q^n = q^{N+1} ((N+1) - N q)/(1-q)^2; compared in logs."""
+    if q == 0:
+        return 0
+    log_eps = -wdps * math.log(10)
+    N = 0
+    while (math.log(2 / D) + (N + 1) * math.log(q)
+           + math.log(((N + 1) - N * q) / (1 - q) ** 2 + D / (1 - q))
+           > log_eps):
+        N += 1
+    return N

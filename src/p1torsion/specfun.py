@@ -17,6 +17,7 @@ continuation path is independent of the closed-form path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -117,6 +118,117 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
         result = head + pole + mid + tail
     with mp.workdps(dps):
         return +result
+
+
+@lru_cache(maxsize=None)
+def _em_coeff_fixed(i: int, bits: int) -> int:
+    """B_{2i} (2 pi)^{2i}/(2i)! = (-1)^{i+1} 2 zeta(2i), as a fixed-point
+    integer with scale 2^bits."""
+    b = bernoulli(2 * i)
+    with mp.workprec(bits + 10):
+        value = (mp.mpf(b.numerator) * (2 * mp.pi) ** (2 * i)
+                 / (b.denominator * math.factorial(2 * i)))
+        return int(mp.ldexp(value, bits))
+
+
+def _em_shift(a: float, ss, wdps: int) -> int:
+    """The least M >= 0 at which the Euler-Maclaurin remainder bound of
+    hurwitz_zeta_values reaches 10^-wdps relative for every s in ss.
+
+    After J corrections the bound over X^{1-s}/(s-1) is
+    4 (s-1) (s)_{2J-1} / (2 pi X)^{2J}, least near s + 2J - 1 = 2 pi X.
+    One unit of margin in the log absorbs rounding.
+    """
+    log_eps = -wdps * math.log(10) - 1
+
+    def least_log_bound(s, y):
+        J = max(1, math.floor((y - s + 1) / 2))
+        return (math.log(4 * (s - 1)) + math.lgamma(s + 2 * J - 1)
+                - math.lgamma(s) - 2 * J * math.log(y))
+
+    M = max(0, math.ceil(-log_eps / (2 * math.pi) - a))
+    while any(least_log_bound(s, 2 * math.pi * (a + M)) > log_eps
+              for s in ss):
+        M += 1
+    return M
+
+
+def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
+    """{s: zeta(s, a)} for the integers s >= 2 in ss, a > 0, in one
+    Euler-Maclaurin pass shared by all s.
+
+    With X = a + M,
+        zeta(s, a) = a^{-s} sum_{j<M} (a/(a+j))^s + X^{-s} E_s,
+        E_s = X/(s-1) + 1/2 + sum_{i<=J} B_{2i}/(2i)! (s)_{2i-1} X^{1-2i},
+    so the M direct powers and the Bernoulli correction at X are shared by
+    all s.  Both sums are O(1) and run in fixed point.  Since
+    |B~_{2J}(x)| <= |B_{2J}| <= 4 (2J)!/(2 pi)^{2J}, the remainder of E_s
+    after J corrections is at most 4 X (s)_{2J-1}/(2 pi X)^{2J} (Johansson,
+    Numer. Algorithms 2015).  Each s takes corrections until that is below
+    10^-(dps + GUARD_DPS) X/(s-1); M is the least shift at which every s
+    can get there.  Every value is good to 10^-dps relative.
+    """
+    ss = sorted(set(ss))
+    if not ss or ss[0] < 2 or any(int(s) != s for s in ss):
+        raise ValueError("hurwitz_zeta_values needs integers s >= 2")
+    wdps = dps + GUARD_DPS
+    with mp.workdps(wdps):
+        a = mp.mpf(a)
+        if a <= 0:
+            raise ValueError("hurwitz_zeta_values needs a > 0")
+        M = _em_shift(float(a), ss, wdps)
+        X = a + M
+        bits = mp.mp.prec + 20
+
+        def fixed(x):
+            return int(mp.ldexp(x, bits))
+
+        # s runs through ss in order; each power steps up from the last
+        gaps = [ss[0]] + [q - p for p, q in zip(ss, ss[1:])]
+        direct = dict.fromkeys(ss, 0)
+        for j in range(M):
+            ratio = fixed(a / (a + j))
+            steps = {g: ratio ** g >> bits * (g - 1) for g in set(gaps)}
+            power = 1 << bits
+            for s, g in zip(ss, gaps):
+                power = power * steps[g] >> bits
+                direct[s] += power
+
+        x_fixed = fixed(X)
+        inv_y2 = fixed(1 / (2 * mp.pi * X) ** 2)
+        turn = float(2 * mp.pi * X)  # the bound grows past s + 2i - 1 = turn
+        eps = mp.mpf(10) ** -wdps
+        correction = {}
+        for s in ss:
+            lead = x_fixed // (s - 1)
+            total = lead + (1 << (bits - 1))
+            target = int(eps * lead)
+            # X (s)_{2i-1}/(2 pi X)^{2i}; times B_{2i}(2 pi)^{2i}/(2i)! it is
+            # the i-th correction, and four times it bounds the remainder
+            scaled = s * x_fixed * inv_y2 >> bits
+            i = 1
+            while True:
+                total += _em_coeff_fixed(i, bits) * scaled >> bits
+                if 4 * scaled <= target:
+                    break
+                scaled = (scaled * ((s + 2 * i - 1) * (s + 2 * i)) * inv_y2
+                          >> bits)
+                i += 1
+                if s + 2 * i - 1 > turn:
+                    raise ArithmeticError(  # _em_shift rules this out
+                        f"Euler-Maclaurin for zeta({s}, a) stopped converging")
+            correction[s] = total
+
+        values = {}
+        a_steps = {g: a ** -g for g in set(gaps)}
+        x_steps = {g: X ** -g for g in set(gaps)}
+        a_pow, x_pow = mp.ldexp(1, -bits), mp.ldexp(1, -bits)
+        for s, g in zip(ss, gaps):
+            a_pow *= a_steps[g]
+            x_pow *= x_steps[g]
+            values[s] = a_pow * direct[s] + x_pow * correction[s]
+    with mp.workdps(dps):
+        return {s: +v for s, v in values.items()}
 
 
 def stieltjes_gamma1(a, dps: int = 50):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 import mpmath as mp
@@ -121,24 +122,53 @@ def i_class_value(ell: int, t, dps: int = 50):
         return +result
 
 
+def bilateral_log_sum(s, x, dps: int = 50):
+    """sum_k log(1 + x/d_k)/(d_k + x) over all integers k, d_k = 2 pi k + s,
+    leaving out a term with d_k = 0.
+
+    The sum is invariant under s -> s + 2 pi, so s is reduced to [0, 2 pi)
+    first.  For |d| > |x| the term is
+    sum_{n>=1} (-1)^{n+1} H_n x^n d^{-n-1}; quadrature.bilateral_sum sums
+    |k| <= K directly and takes the rest from this expansion, in Hurwitz
+    zeta values at shift s/(2 pi), to a bound below 10^-(dps + GUARD_DPS).
+    """
+    with mp.workdps(dps + GUARD_DPS):
+        two_pi = 2 * mp.pi
+        sv = mp.fmod(mp.mpf(s), two_pi)
+        if sv < 0:
+            sv += two_pi
+        xv = mp.mpmathify(x)
+
+        def term(k):
+            d = two_pi * k + sv
+            if d == 0:
+                return mp.mpf(0)
+            return mp.log(1 + xv / d) / (d + xv)
+
+        def coeffs():
+            power = 1 / two_pi
+            for n in count(1):
+                power *= xv / two_pi  # x^n (2 pi)^{-n-1}
+                h = harmonic(n)
+                yield (-1) ** (n + 1) * power * h.numerator / h.denominator
+
+        return bilateral_sum(term, coeffs(), abs(xv) / two_pi, sv / two_pi,
+                             dps=dps)
+
+
 def i_class_direct(ell: int, t, dps: int = 50, theta: int = 1):
     """The same quantity through the defining bi-infinite sum
     sum_{k != 0} log(1 + t theta/(2 pi k))/(i t theta + 2 k pi i),
-    evaluated with tail-corrected bilateral summation."""
+    evaluated with an exact, error-bounded tail (bilateral_log_sum at
+    s = 0, where only odd powers of the expansion survive)."""
     with mp.workdps(dps + GUARD_DPS):
         tv = mp.mpf(t)
         if not 0 < abs(tv * theta) < 2 * mp.pi:
             raise ValueError("i_class_direct needs 0 < |t theta| < 2*pi")
-
-        def term(k):
-            if k == 0:
-                return mp.mpf(0)
-            return mp.log(1 + tv * theta / (2 * mp.pi * k)) / (tv * theta + 2 * k * mp.pi)
-
         # The complex sum with denominator i(t theta + 2 k pi) is -i times
         # the real sum above; combined with the 1/i in the fixed-point
         # prefactor cos(.)/(i sin(.)) this contributes an overall -1.
-        inner = bilateral_sum(term, dps=dps)
+        inner = bilateral_log_sum(0, tv * theta, dps)
         result = -(mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * inner
     with mp.workdps(dps):
         return +result
@@ -295,14 +325,31 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
     """R~0(phi, x) = sum_k (zeta_L'(-k, phi) + zeta_L(-k, phi) H_k/2) x^k/k!.
 
     Converges like (|x|/min(phi, 2 pi - phi))^k; phi is an angle in
-    (0, 2 pi) mod 2 pi."""
+    (0, 2 pi) mod 2 pi.  An input whose envelope ratio^max_terms is above
+    the target 10^-(dps+5) cannot converge in max_terms terms and is
+    refused before any term is summed."""
     with mp.workdps(dps + GUARD_DPS):
         phi = mp.fmod(mp.mpf(phi), 2 * mp.pi)
         if phi < 0:
             phi += 2 * mp.pi
         x = mp.mpmathify(x)
-        total = mp.mpc(0)
         eps = mp.mpf(10) ** (-(dps + 5))
+        # the Lerch coefficients grow like k!/dist(phi, 2 pi Z)^k
+        dist = min(phi, 2 * mp.pi - phi)
+        if dist == 0:
+            raise ValueError("phi must not be congruent to 0 mod 2*pi")
+        ratio = abs(x) / dist
+
+        def refusal(verb):
+            return ConvergenceError(
+                f"R~0 series {verb} reach {dps} digits in {max_terms} terms; "
+                f"|x|/min(phi, 2*pi - phi) = {mp.nstr(ratio, 3)}; the terms "
+                f"go like its k-th power, so it must be below "
+                f"{mp.nstr(eps ** (mp.mpf(1) / max_terms), 3)}")
+
+        if ratio ** max_terms > eps:
+            raise refusal("cannot")
+        total = mp.mpc(0)
         xpow = mp.mpc(1)
         fact = mp.mpf(1)
         small = 0
@@ -320,12 +367,7 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
             if small >= 3 and k > 5:
                 break
         else:
-            # the Lerch coefficients grow like k!/dist(phi, 2 pi Z)^k
-            ratio = abs(x) / min(phi, 2 * mp.pi - phi)
-            raise ConvergenceError(
-                f"R~0 series did not reach {dps} digits in {max_terms} terms; "
-                f"|x|/min(phi, 2*pi - phi) = {mp.nstr(ratio, 3)}; the terms "
-                "go like its k-th power, so it must be below 1")
+            raise refusal("did not")
         result = total
     with mp.workdps(dps):
         return +result
@@ -347,13 +389,14 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
     Primary route: finite log-sum at angle s + t plus
     cos((ell+1)(s+t)/2)/(i sin((s+t)/2)) * R(s, i t) with R built from Lerch
     values.  Cross-checked against the independent route
-    2 R^rot(s+t) cos/sin + log-sum - cos/sin * sum_k log(1+t/(2pi k+s))/(2pi k+t+s);
-    disagreement beyond tol raises an internal-consistency error.
+    2 R^rot(s+t) cos/sin + log-sum - cos/sin * sum_k log(1+t/(2pi k+s))/(2pi k+t+s),
+    whose k-sum has an error bound (bilateral_log_sum).  A gap between the
+    routes above tol raises CancellationError; the default tol is
+    10^(3 - dps) max(1, |value|), so the routes agree at the requested
+    precision.
     """
     with mp.workdps(dps + GUARD_DPS):
         sv, tv = mp.mpf(s), mp.mpf(t)
-        if tol is None:
-            tol = mp.mpf(10) ** -8
         u = sv + tv
         if not 0 < abs(u) < 2 * mp.pi:
             raise ValueError("need 0 < |s + t| < 2*pi")
@@ -370,13 +413,11 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
             lerch_val = logsum + (prefactor / 1j) * R
             lerch_val = mp.re(lerch_val) if abs(mp.im(lerch_val)) < mp.mpf(10) ** (-dps // 2) else lerch_val
 
-        def term(k):
-            denom = 2 * mp.pi * k + sv
-            return mp.log(1 + tv / denom) / (denom + tv)
-
-        ksum = bilateral_sum(term, dps=dps)
+        ksum = bilateral_log_sum(sv, tv, dps)
         direct_val = (2 * r_rot_value(u, dps + GUARD_DPS) * prefactor + logsum
                       - prefactor * ksum)
+        if tol is None:
+            tol = mp.mpf(10) ** (3 - dps) * max(1, abs(lerch_val))
         if abs(lerch_val - direct_val) > tol:
             raise CancellationError(
                 "two-parameter torsion paths disagree: "

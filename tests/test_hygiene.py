@@ -1,8 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene, by stdlib-ast checks.
 
-A stdlib-ast check.  A name counts as used when it is loaded anywhere in the
-module (the base of an attribute access included) or appears in a string
-annotation.  ``from __future__`` imports are exempt.
+No module of the package imports a name it never uses.  A name counts as
+used when it is loaded anywhere in the module (the base of an attribute
+access included) or appears in a string annotation.  ``from __future__``
+imports are exempt.
+
+Every function the traced benchmark wraps (``SPANS`` in perfbench/spans.py)
+still exists, so a rename or a deletion fails here before it crashes a
+``run.py --trace 1`` run.  spans.py is parsed, not imported.
 """
 
 import ast
@@ -10,7 +15,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "p1torsion"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "p1torsion"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -68,3 +74,54 @@ def test_check_catches_an_unused_import():
     used = _used_names(tree)
     assert [name for name, _ in _imported_names(tree)
             if name not in used] == ["os"]
+
+
+def _spans():
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SPANS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py has no SPANS list")
+
+
+def _top_level_names(body):
+    """Names a module or class body binds: defs, classes, assignments and
+    imports."""
+    names = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                              ast.Name):
+            names[node.target.id] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node
+    return names
+
+
+def test_traced_spans_resolve():
+    spans = _spans()
+    assert spans
+    missing = []
+    for module, attr, _ in spans:
+        path = SRC / f"{module}.py"
+        if not path.exists():
+            missing.append(f"{module} (no module)")
+            continue
+        names = _top_level_names(ast.parse(path.read_text()).body)
+        owner, _, method = attr.partition(".")
+        node = names.get(owner)
+        if method and isinstance(node, ast.ClassDef):
+            node = _top_level_names(node.body).get(method)
+        if node is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing, "perfbench/spans.py wraps missing names: " + \
+        ", ".join(missing)

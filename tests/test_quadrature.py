@@ -1,4 +1,6 @@
-"""Quadrature and tail-corrected bilateral summation."""
+"""Quadrature and error-bounded bilateral summation."""
+
+from itertools import count
 
 import pytest
 from mpmath import mp
@@ -43,53 +45,83 @@ class TestIntegrate:
 
 
 class TestBilateralSum:
+    """Each sum states the expansion of its term in 1/(k + shift): the
+    coefficients c_n, a rate with |c_n| <= n rate^n, and the shift."""
+
+    @staticmethod
+    def lorentz_coeffs(a):
+        # 1/(k^2 + a^2) = sum_{m>=0} (-1)^m a^{2m} k^{-2m-2}: only odd n
+        for n in count(1):
+            yield (-1) ** (n // 2) * a ** (n - 1) if n % 2 else 0
+
     def test_against_coth_closed_form(self):
         # sum_{k in Z} 1/(k^2 + a^2) = (pi/a) coth(pi a)
         mp.dps = 40
         a = mp.mpf("0.75")
-
-        def term(k):
-            return 1 / (k ** 2 + a ** 2)
-
-        got = bilateral_sum(term, dps=40)
+        got = bilateral_sum(lambda k: 1 / (k ** 2 + a ** 2),
+                            self.lorentz_coeffs(a), 1, dps=40)
         want = mp.pi / a * mp.coth(mp.pi * a)
-        assert abs(got - want) < mp.mpf(10) ** -12
+        assert abs(got - want) < mp.mpf(10) ** -38
+
+    def test_head_grows_with_rate(self):
+        # at a = 30 the expansion needs |k| > 30: the head grows to
+        # |k| <= 599 to keep q = 1/20, and its tail starts at zeta(., 600)
+        mp.dps = 40
+        a = mp.mpf(30)
+        got = bilateral_sum(lambda k: 1 / (k ** 2 + a ** 2),
+                            self.lorentz_coeffs(a), a, dps=40)
+        want = mp.pi / a * mp.coth(mp.pi * a)
+        assert abs(got - want) < mp.mpf(10) ** -38
 
     def test_odd_part_cancels(self):
-        # term with a 1/k piece: pairing kills it, leaving the even tail
+        # a term with a 1/k piece: the two half-line tails cancel it
         mp.dps = 40
         a = mp.mpf("0.3")
 
         def term(k):
             if k == 0:
                 return mp.mpf(0)
-            return 1 / (k + a) / k  # ~ 1/k^2 after pairing
+            return 1 / (k + a) / k
 
-        got = bilateral_sum(term, dps=40)
+        # 1/(k (k + a)) = (k + a)^-2 / (1 - a/(k + a)): c_n = a^(n-1) at
+        # shift a, so both Hurwitz tails are needed
+        coeffs = (a ** (n - 1) for n in count(1))
+        got = bilateral_sum(term, coeffs, 1, shift=a, dps=40)
         # partial fractions: 1/(k(k+a)) = (1/a)(1/k - 1/(k+a)); the two
         # half-line sums telescope to digamma values
         want = (mp.digamma(1 + a) - mp.digamma(1 - a)) / a
-        assert abs(got - want) < mp.mpf(10) ** -20
+        assert abs(got - want) < mp.mpf(10) ** -38
 
     def test_tight_tolerance_achieved(self):
-        # the analytic tail model reaches far below the K-truncation level
-        mp.dps = 40
+        # the tail bound follows dps, here far below any fixed tolerance
+        mp.dps = 15
+        with mp.workdps(110):
+            got = bilateral_sum(lambda k: 1 / (mp.mpf(k) ** 2 + 1),
+                                self.lorentz_coeffs(1), 1, dps=100)
+            want = mp.pi * mp.coth(mp.pi)
+            assert abs(got - want) < mp.mpf(10) ** -98
+
+    def test_head_is_a_direct_sum_of_41_terms(self):
+        calls = []
 
         def term(k):
+            calls.append(k)
             return 1 / (mp.mpf(k) ** 2 + 1)
 
-        got = bilateral_sum(term, tol=mp.mpf(10) ** -25, dps=40)
-        want = mp.pi * mp.coth(mp.pi)
-        assert abs(got - want) < mp.mpf(10) ** -20
+        bilateral_sum(term, self.lorentz_coeffs(1), 1, dps=50)
+        assert sorted(calls) == list(range(-20, 21))
 
-    def test_accuracy_error_on_rough_term(self):
-        # a slowly, non-smoothly decaying term defeats the tail model
-        mp.dps = 30
+    def test_refuses_when_tail_ratio_reaches_one(self):
+        # 1/(k^2 + b^2) expands in 1/k only for |k| > b, beyond the
+        # longest head: q = b/(K + 1) >= 1, refused before any term is summed
+        b = 5000
+        calls = []
 
         def term(k):
-            if k == 0:
-                return mp.mpf(0)
-            return mp.mpf(1) / (abs(k) ** 2 + (abs(k) % 7))
+            calls.append(k)
+            return mp.mpf(1) / (k ** 2 + b ** 2)
 
-        with pytest.raises(AccuracyError):
-            bilateral_sum(term, tol=mp.mpf(10) ** -25, dps=30)
+        with pytest.raises(AccuracyError) as exc:
+            bilateral_sum(term, self.lorentz_coeffs(b), b, dps=30)
+        assert exc.value.estimate >= 1
+        assert calls == []

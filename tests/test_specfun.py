@@ -64,6 +64,29 @@ class TestHurwitz:
         want = mp.zeta(mp.mpf(s), mp.mpf(a), 1)
         assert abs(got - want) < mp.mpf(10) ** -30
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("a,ss", [("21.3", range(2, 60)),
+                                      ("21", range(2, 50, 2)),
+                                      ("0.3", (2, 3, 9)), ("1e-3", (2, 7)),
+                                      ("500", (2, 3))])
+    def test_values_in_one_pass(self, a, ss, dps):
+        mp.dps = 15
+        got = specfun.hurwitz_zeta_values(ss, a, dps=dps)
+        assert sorted(got) == sorted(ss)
+        # mpmath's own zeta(s, a) loses digits at large s unless it works
+        # well above the precision it is asked for
+        with mp.workdps(dps + 100):
+            for s in ss:
+                want = mp.zeta(s, mp.mpf(a))
+                assert abs(got[s] - want) <= mp.mpf(10) ** -dps * want
+
+    def test_values_need_integer_s_above_one(self):
+        for ss in ([], [1, 2], [2.5]):
+            with pytest.raises(ValueError):
+                specfun.hurwitz_zeta_values(ss, 0.5, dps=30)
+        with pytest.raises(ValueError):
+            specfun.hurwitz_zeta_values([2], 0, dps=30)
+
     def test_stieltjes_gamma1(self):
         mp.dps = 40
         got = specfun.stieltjes_gamma1(mp.mpf(1), dps=40)

@@ -94,6 +94,56 @@ class TestIClass:
             torsion.i_class_direct(0, 7.0, dps=30)
 
 
+def _nsum_log_sum(s, t, dps):
+    """sum_k log(1 + t/d_k)/(d_k + t), d_k = 2 pi k + s, d_k = 0 left out,
+    by mpmath's nsum over the paired terms."""
+    with mp.workdps(dps):
+        sv, tv = mp.mpf(s), mp.mpf(t)
+
+        def term(k):
+            d = 2 * mp.pi * k + sv
+            return mp.mpf(0) if d == 0 else mp.log(1 + tv / d) / (d + tv)
+
+        return term(0) + mp.nsum(lambda k: term(k) + term(-k), [1, mp.inf])
+
+
+class TestBilateralLogSum:
+    """The direct routes hold every digit they return: against an nsum
+    reference at 20 more digits, under the default global precision."""
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("t", ["0.2", "1.45", "3.0", "4.5", "2pi-0.01"])
+    def test_i_class_direct_against_nsum(self, t, dps):
+        mp.dps = 15
+        with mp.workdps(dps + 20):
+            tv = (2 * mp.pi - mp.mpf("0.01") if t == "2pi-0.01"
+                  else mp.mpf(t))
+        ell = 3
+        got = torsion.i_class_direct(ell, tv, dps=dps)
+        with mp.workdps(dps + 20):
+            want = (-(mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2))
+                    * _nsum_log_sum(0, tv, dps + 20))
+            assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("s,t", [("2.1", "0.63"), ("6.2", "0.05"),
+                                     ("0.05", "0.04"), ("4.9", "-0.4")])
+    def test_two_param_k_sum_against_nsum(self, s, t, dps):
+        mp.dps = 15
+        got = torsion.bilateral_log_sum(s, t, dps=dps)
+        with mp.workdps(dps + 20):
+            want = _nsum_log_sum(s, t, dps + 20)
+            assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    def test_shift_is_reduced_mod_two_pi(self):
+        mp.dps = 15
+        a = torsion.bilateral_log_sum("2.1", "0.63", dps=50)
+        with mp.workdps(60):
+            b = torsion.bilateral_log_sum(mp.mpf("2.1") + 4 * mp.pi, "0.63",
+                                          dps=50)
+            assert abs(a - b) <= mp.mpf(10) ** -49
+
+
 class TestTdchs:
     @pytest.mark.parametrize("ell", [-2, 0, 3])
     def test_series_matches_quadrature(self, ell):
@@ -175,6 +225,23 @@ class TestTwoParameter:
             prev = err
         assert prev < mp.mpf("5e-3")
 
+    def test_routes_agree_at_fifty_digits(self):
+        # the bounded k-sum brings the route gap to about 1e-52 here; a
+        # fixed-depth tail model left 1.2e-44
+        mp.dps = 15
+        val = torsion.torsion_two_param(1, "2.1", "0.63", dps=50,
+                                        tol=mp.mpf(10) ** -47)
+        assert mp.isfinite(val)
+
+    def test_default_tol_follows_precision(self, monkeypatch):
+        # a k-sum off by 1e-25 passes a fixed 1e-8 tolerance, but not the
+        # default 10^(3 - dps) max(1, |value|) at dps 30
+        exact = torsion.bilateral_log_sum
+        monkeypatch.setattr(torsion, "bilateral_log_sum",
+                            lambda s, t, dps: exact(s, t, dps) + mp.mpf("1e-25"))
+        with pytest.raises(CancellationError, match="disagree"):
+            torsion.torsion_two_param(1, 2.1, 0.63, dps=30)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             torsion.torsion_two_param(0, 0.0, 0.5, dps=30)
@@ -197,6 +264,10 @@ class TestRTilde0:
         with pytest.raises(ConvergenceError):
             torsion.r_tilde0(mp.mpf("0.1"), mp.mpf("2.0"), dps=20,
                              max_terms=60)
+
+    def test_angle_zero_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            torsion.r_tilde0(0, mp.mpf("0.1"), dps=20)
 
     def test_term_cap_inside_radius(self):
         # |x|/phi = 0.8 converges, but not to 20 digits in 5 terms
