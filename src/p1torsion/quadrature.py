@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import mpmath as mp
 
@@ -26,6 +25,9 @@ from .specfun import hurwitz_zeta_values
 
 HEAD_K = 20         # the head |k| <= K keeps q = rate/(K + 1 - |shift|) <= 1/20
 MAX_HEAD_K = 2000
+
+# weights(N, wdps) -> the expansion weights a_1, ..., a_N of a bilateral_sum
+Weights = Callable[[int, int], Sequence]
 
 
 class AccuracyError(ArithmeticError):
@@ -76,32 +78,41 @@ def integrate(spec: IntegrandSpec, tol=None, dps: int = 50,
         return QuadResult(value=value, error_estimate=err)
 
 
-def bilateral_sum(term: Callable[[int], mp.mpf], coeffs: Iterable, rate,
+def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
                   shift=0, dps: int = 50) -> mp.mpf:
     """Sum term(k) over all integers k, with an exact tail.
 
     The caller states the expansion of its term away from the origin:
 
-        term(k) = sum_{n>=1} c_n (k + shift)^{-n-1}   for |k + shift| > rate,
+        term(k) = sum_{n>=1} a_n x^n (k + shift)^{-n-1}   for |k + shift| > rate,
 
-    with ``coeffs`` yielding c_1, c_2, ... and |c_n| <= n rate^n.  The head
-    |k| <= K stays a direct sum of 2K + 1 terms, with K = 20 unless a large
-    rate or shift needs more (at most MAX_HEAD_K).  The tail over |k| > K is
-    exact in Hurwitz zeta values:
+    with weights(N, wdps) returning a_1, ..., a_N at wdps digits.  The a_n
+    must not depend on x, and |a_n x^n| <= n rate^n.  The head |k| <= K
+    stays a direct sum of 2K + 1 terms, with K = 20 unless a large rate or
+    shift needs more (at most MAX_HEAD_K).  The tail over |k| > K is exact
+    in Hurwitz zeta values:
 
-        sum_n c_n [zeta(n+1, K+1+shift) + (-1)^{n+1} zeta(n+1, K+1-shift)],
+        sum_n a_n x^n [zeta(n+1, K+1+shift) + (-1)^{n+1} zeta(n+1, K+1-shift)].
 
-    which keeps only odd n when shift = 0, and all the zeta(n+1, .) come
-    from one Euler-Maclaurin pass (specfun.hurwitz_zeta_values).  With
-    D = K + 1 - |shift| and q = rate/D, both half-lines give
+    With D = K + 1 - |shift| and q = rate/D, both half-lines give
     sum_{|k|>K} |k + shift|^{-n-1} <= 2 D^{-n-1} (1 + D/n), so dropping
     n > N costs at most (2/D) sum_{n>N} (n + D) q^n, a geometric series.
     N is the least count that brings this below 10^-(dps + GUARD_DPS).
     Raises AccuracyError when q >= 1, where the expansion cannot be summed.
+
+    At shift = 0 only odd n survive and the tail is x P(x^2), with
+    P(y) = sum_{n odd} 2 a_n zeta(n+1, K+1) y^{(n-1)/2}.  The weights of P
+    do not depend on x: they are built in one Euler-Maclaurin pass
+    (specfun.hurwitz_zeta_values) per (weights, K + 1, working precision),
+    long enough for any q <= 1/HEAD_K, and kept in a table that grows only
+    when a call needs more terms (a head capped at MAX_HEAD_K).  A call then
+    sums its head and evaluates P by Horner.  At any other shift the
+    Hurwitz pass runs per call.  ``weights`` is part of the table key, so
+    one expansion should always pass the same function.
     """
     wdps = dps + GUARD_DPS
     with mp.workdps(wdps):
-        rate, shift = mp.mpf(rate), mp.mpf(shift)
+        rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
         K = min(max(HEAD_K, int(mp.ceil(HEAD_K * rate + abs(shift))) - 1),
                 MAX_HEAD_K)
         D = K + 1 - abs(shift)
@@ -112,22 +123,51 @@ def bilateral_sum(term: Callable[[int], mp.mpf], coeffs: Iterable, rate,
                 f"with a head of {2 * K + 1} terms", estimate=q)
         n_terms = _tail_terms(float(D), float(q), wdps)
         head = mp.fsum(term(k) for k in range(-K, K + 1))
-        c = list(islice(coeffs, n_terms))
         if not n_terms:
             tail = 0
         elif shift == 0:
-            zeta = hurwitz_zeta_values(range(2, n_terms + 2, 2), K + 1, wdps)
-            tail = mp.fsum(2 * c[n - 1] * zeta[n + 1]
-                           for n in range(1, n_terms + 1, 2))
+            tail = 0
+            x2 = x * x
+            for w in reversed(_odd_tail(weights, K + 1, n_terms, wdps)
+                              [:(n_terms + 1) // 2]):
+                tail = tail * x2 + w
+            tail *= x
         else:
+            a = weights(n_terms, wdps)
             ss = range(2, n_terms + 2)
             right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
             left = hurwitz_zeta_values(ss, K + 1 - shift, wdps)
-            tail = mp.fsum(c[n - 1] * (right[n + 1] - (-1) ** n * left[n + 1])
-                           for n in range(1, n_terms + 1))
+            tail = 0
+            for n in range(n_terms, 0, -1):
+                zeta = right[n + 1] - (-1) ** n * left[n + 1]
+                tail = (tail + a[n - 1] * zeta) * x
         result = head + tail
     with mp.workdps(dps):
         return +result
+
+
+# (weights, K + 1, working dps) -> [2 a_n zeta(n+1, K+1) for n = 1, 3, ...]
+_ODD_TAILS: dict[tuple, list] = {}
+
+
+def _odd_tail(weights: Weights, a: int, n_terms: int, wdps: int) -> list:
+    """The weights of P in bilateral_sum at shift 0, enough for n <= n_terms.
+
+    A new table holds every odd n that q = 1/HEAD_K needs, so its length
+    and its values depend only on the key, not on the call that built it.
+    Only a call with q > 1/HEAD_K (a head capped at MAX_HEAD_K) rebuilds it
+    longer."""
+    key = (weights, a, wdps)
+    table = _ODD_TAILS.get(key, [])
+    if 2 * len(table) < n_terms:
+        n_max = max(n_terms, _tail_terms(float(a), 1 / HEAD_K, wdps))
+        with mp.workdps(wdps):
+            zeta = hurwitz_zeta_values(range(2, n_max + 2, 2), a, wdps)
+            coeffs = weights(n_max, wdps)
+            table = [2 * coeffs[n - 1] * zeta[n + 1]
+                     for n in range(1, n_max + 1, 2)]
+        _ODD_TAILS[key] = table
+    return table
 
 
 def _tail_terms(D: float, q: float, wdps: int) -> int:

@@ -281,18 +281,6 @@ def build_sin_scaled(a, order: int = DEFAULT_ORDER) -> LaurentSeries:
     return LaurentSeries(coeffs, 0, order)
 
 
-def build_exp_scaled(a, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """exp(a t / 2)."""
-    a = Fraction(a)
-    coeffs = {}
-    term = Fraction(1)
-    for k in range(order + 1):
-        if k > 0:
-            term *= (a / 2) / k
-        coeffs[k] = ConstExpr.rational(term)
-    return LaurentSeries(coeffs, 0, order)
-
-
 def build_inv_sin_half(order: int = DEFAULT_ORDER) -> LaurentSeries:
     """1/sin(t/2) = 2/t + t/12 + 7 t^3/2880 + ...; min_degree -1.
 

@@ -1,9 +1,10 @@
 """Special-function values consumed by the torsion formulas.
 
-Provides exact zeta values at non-positive integers, high-precision zeta
-derivatives there, the Lerch zeta function and its s-derivative at negative
-integers, the sine/cosine/exponential integrals, the rotation-equivariant
-R-series, and the (non-equivariant) R-class series.
+Provides exact Bernoulli numbers and zeta values at non-positive integers,
+high-precision zeta derivatives there, Hurwitz zeta values (many integer s
+in one pass), the Lerch zeta function and its s-derivative at negative
+integers, the sine and cosine integrals, the value of the
+rotation-equivariant R^rot(t), and the (non-equivariant) R-class series.
 
 The Lerch continuation runs through Hurwitz's formula
 
@@ -423,7 +424,7 @@ def lerch_value(s, phi, dps: int = 50):
 
 
 # ---------------------------------------------------------------------------
-# Sine, cosine and exponential integrals
+# Sine and cosine integrals
 # ---------------------------------------------------------------------------
 
 def _sici_taylor(x, dps: int):
@@ -507,48 +508,9 @@ def ci(x, dps: int = 50):
     return _sici_asymptotic(xv, dps)[1]
 
 
-def ei(x, dps: int = 50):
-    """Ei(x) = -int_{-x}^inf e^{-t}/t dt, implemented for x < 0 (the only
-    case the formulas need): Ei(x) = gamma + log|x| + sum x^k/(k k!)."""
-    xv = mp.mpf(x)
-    if xv >= 0:
-        raise ValueError("ei is implemented for x < 0 only")
-    with mp.workdps(dps + GUARD_DPS):
-        total = mp.euler + mp.log(-xv)
-        term = mp.mpf(1)
-        k = 1
-        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
-        while True:
-            term *= xv / k
-            total += term / k
-            if abs(term) < eps:
-                break
-            k += 1
-        result = total
-    with mp.workdps(dps):
-        return +result
-
-
 # ---------------------------------------------------------------------------
 # R-series
 # ---------------------------------------------------------------------------
-
-def r_rot_series(order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """R^rot(t) = (gamma + log t)/t - sum_{m odd} zeta'(-m)(-1)^{(m+1)/2} t^m/m!
-
-    as a symbolic Laurent series (the t^{-1} coefficient stays GAMMA + LOG_T).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = {-1: ConstExpr.gamma() + ConstExpr.log_t()}
-    fact = Fraction(1)
-    for m in range(1, order + 1):
-        fact *= m
-        if m % 2 == 1:
-            sign = (-1) ** ((m + 1) // 2)
-            coeffs[m] = ConstExpr.zeta_prime(m, -Fraction(sign, 1) / fact)
-    return LaurentSeries(coeffs, -1, order)
-
 
 def r_rot_value(t, dps: int = 50):
     """R^rot(t) numerically, for 0 < t < 2 pi.

@@ -18,9 +18,9 @@ cosine prefactor (which only depends on |a|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Optional
 
 import mpmath as mp
@@ -81,13 +81,51 @@ def torsion_group(ell: int, t, dps: int = 50):
 # I-class term
 # ---------------------------------------------------------------------------
 
+# The highest power of t the series route sums.  Its coefficients need the
+# exact Bernoulli numbers up to that index, which take about 6 s to build at
+# 1200 (CPython 3.11, one core) and grow faster than the square of the
+# index; i_class_direct costs the same at every t.
+I_CLASS_MAX_INDEX = 1200
+
+
 def _i_class_inner_coeff(m: int) -> Fraction:
     """Real coefficient of t^m in (1/i) sum_{m odd} H_m zeta(-m) (it)^m/m!."""
     sign = (-1) ** ((m - 1) // 2)
-    fact = 1
-    for j in range(2, m + 1):
-        fact *= j
-    return harmonic(m) * zeta_neg(m) * sign / fact
+    return harmonic(m) * zeta_neg(m) * sign / math.factorial(m)
+
+
+# working dps -> [c_1, c_3, c_5, ...], c_m = _i_class_inner_coeff(m) as mpf
+_I_CLASS_COEFFS: dict[int, list] = {}
+
+
+def _i_class_coeffs(count: int, wdps: int) -> list:
+    """The first ``count`` odd-index coefficients of i_class_value at wdps
+    digits, from a table that grows on demand."""
+    table = _I_CLASS_COEFFS.setdefault(wdps, [])
+    with mp.workdps(wdps):
+        for j in range(len(table), count):
+            c = _i_class_inner_coeff(2 * j + 1)
+            table.append(mp.mpf(c.numerator) / c.denominator)
+    return table
+
+
+def _i_class_last_index(tv, wdps: int) -> Optional[int]:
+    """The index m at which the terms of i_class_value fall below
+    10^-wdps, or None past I_CLASS_MAX_INDEX.
+
+    |H_m zeta(-m)/m!| = 2 H_m zeta(m+1)/(2 pi)^{m+1} with
+    zeta(m+1) <= 1 + 2^-m for m >= 7, so up to rounding the m found here is
+    at least the one the summation stops at."""
+    log_ratio = math.log(float(abs(tv)) / (2 * math.pi))
+    log_eps = -wdps * math.log(10)
+    h = 1.0
+    for m in range(1, I_CLASS_MAX_INDEX + 1, 2):
+        if m > 1:
+            h += 1 / (m - 1) + 1 / m
+        if (m > 5 and math.log(2 * h * (1 + 2.0 ** -m) / (2 * math.pi))
+                + m * log_ratio < log_eps):
+            return m
+    return None
 
 
 def i_class_series(ell: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
@@ -102,24 +140,63 @@ def i_class_series(ell: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
 
 def i_class_value(ell: int, t, dps: int = 50):
     """Numeric I-class term for |t| < 2 pi, by adaptive summation (the
-    coefficients decay like (t/2pi)^m)."""
-    with mp.workdps(dps + GUARD_DPS):
+    coefficients decay like (t/2pi)^m).
+
+    The coefficients c_m = H_m zeta(-m) (-1)^{(m-1)/2}/m! come from exact
+    Bernoulli numbers and are kept as mpf in a table per working precision
+    dps + GUARD_DPS, grown on demand; a call only forms c_m t^m.  The sum
+    stops at the first odd m > 5 whose term is below 10^-(dps + GUARD_DPS).
+    The number of terms that takes is computed first: past index
+    I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError at
+    once and points to i_class_direct.
+    """
+    wdps = dps + GUARD_DPS
+    with mp.workdps(wdps):
         tv = mp.mpf(t)
         if not 0 < abs(tv) < 2 * mp.pi:
             raise ValueError("i_class_value needs 0 < |t| < 2*pi")
+        last = _i_class_last_index(tv, wdps)
+        if last is None:
+            raise ConvergenceError(
+                f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
+                f"past t^{I_CLASS_MAX_INDEX} for {dps} digits; use "
+                f"i_class_direct, whose cost does not grow near 2*pi")
+        coeffs = _i_class_coeffs((last + 1) // 2, wdps)
+        t2 = tv * tv
+        tpow = tv
         total = mp.mpf(0)
-        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
-        m = 1
+        eps = mp.mpf(10) ** -wdps
+        j = 0
         while True:
-            c = _i_class_inner_coeff(m)
-            term = mp.mpf(c.numerator) / c.denominator * tv ** m
+            if j == len(coeffs):
+                coeffs = _i_class_coeffs(j + 8, wdps)
+            term = coeffs[j] * tpow
             total += term
-            if abs(term) < eps and m > 5:
+            if abs(term) < eps and j > 2:
                 break
-            m += 2
+            tpow *= t2
+            j += 1
         result = (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
     with mp.workdps(dps):
         return +result
+
+
+# working dps -> [(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, 2, ...]
+_LOG_SUM_WEIGHTS: dict[int, list] = {}
+
+
+def _log_sum_weights(count: int, wdps: int) -> list:
+    """(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, ..., count at wdps digits:
+    the expansion weights of bilateral_log_sum, from a table per working
+    precision that grows on demand."""
+    table = _LOG_SUM_WEIGHTS.setdefault(wdps, [])
+    with mp.workdps(wdps):
+        inv_two_pi = 1 / (2 * mp.pi)
+        for n in range(len(table) + 1, count + 1):
+            h = harmonic(n)
+            table.append((-1) ** (n + 1) * inv_two_pi ** (n + 1)
+                         * h.numerator / h.denominator)
+    return table
 
 
 def bilateral_log_sum(s, x, dps: int = 50):
@@ -131,6 +208,9 @@ def bilateral_log_sum(s, x, dps: int = 50):
     sum_{n>=1} (-1)^{n+1} H_n x^n d^{-n-1}; quadrature.bilateral_sum sums
     |k| <= K directly and takes the rest from this expansion, in Hurwitz
     zeta values at shift s/(2 pi), to a bound below 10^-(dps + GUARD_DPS).
+    The weights H_n/(2 pi)^{n+1} do not depend on s or x and are kept per
+    precision (_log_sum_weights); at s = 0 bilateral_sum also keeps the
+    Hurwitz values they multiply.
     """
     with mp.workdps(dps + GUARD_DPS):
         two_pi = 2 * mp.pi
@@ -143,17 +223,11 @@ def bilateral_log_sum(s, x, dps: int = 50):
             d = two_pi * k + sv
             if d == 0:
                 return mp.mpf(0)
-            return mp.log(1 + xv / d) / (d + xv)
+            e = d + xv
+            return mp.log(e / d) / e
 
-        def coeffs():
-            power = 1 / two_pi
-            for n in count(1):
-                power *= xv / two_pi  # x^n (2 pi)^{-n-1}
-                h = harmonic(n)
-                yield (-1) ** (n + 1) * power * h.numerator / h.denominator
-
-        return bilateral_sum(term, coeffs(), abs(xv) / two_pi, sv / two_pi,
-                             dps=dps)
+        return bilateral_sum(term, _log_sum_weights, xv, abs(xv) / two_pi,
+                             sv / two_pi, dps=dps)
 
 
 def i_class_direct(ell: int, t, dps: int = 50, theta: int = 1):

@@ -1,7 +1,5 @@
 """Quadrature and error-bounded bilateral summation."""
 
-from itertools import count
-
 import pytest
 from mpmath import mp
 
@@ -44,34 +42,40 @@ class TestIntegrate:
         assert exc.value.estimate > mp.mpf(10) ** -40
 
 
-class TestBilateralSum:
-    """Each sum states the expansion of its term in 1/(k + shift): the
-    coefficients c_n, a rate with |c_n| <= n rate^n, and the shift."""
+def lorentz_weights(count, wdps):
+    # 1/(k^2 + a^2) = sum_{m>=0} (-1)^m a^{2m} k^{-2m-2}, so a/(k^2 + a^2)
+    # has a_n = (-1)^{(n-1)/2} at odd n, 0 at even n, and x = a
+    return [(-1) ** (n // 2) if n % 2 else 0 for n in range(1, count + 1)]
 
-    @staticmethod
-    def lorentz_coeffs(a):
-        # 1/(k^2 + a^2) = sum_{m>=0} (-1)^m a^{2m} k^{-2m-2}: only odd n
-        for n in count(1):
-            yield (-1) ** (n // 2) * a ** (n - 1) if n % 2 else 0
+
+def unit_weights(count, wdps):
+    return [1] * count
+
+
+class TestBilateralSum:
+    """Each sum states the expansion of its term in 1/(k + shift): weights
+    a_n with term(k) = sum_n a_n x^n (k + shift)^{-n-1}, a rate with
+    |a_n x^n| <= n rate^n, and the shift."""
 
     def test_against_coth_closed_form(self):
-        # sum_{k in Z} 1/(k^2 + a^2) = (pi/a) coth(pi a)
+        # sum_{k in Z} a/(k^2 + a^2) = pi coth(pi a)
         mp.dps = 40
         a = mp.mpf("0.75")
-        got = bilateral_sum(lambda k: 1 / (k ** 2 + a ** 2),
-                            self.lorentz_coeffs(a), 1, dps=40)
-        want = mp.pi / a * mp.coth(mp.pi * a)
-        assert abs(got - want) < mp.mpf(10) ** -38
+        got = bilateral_sum(lambda k: a / (k ** 2 + a ** 2), lorentz_weights,
+                            a, 1, dps=40)
+        want = mp.pi * mp.coth(mp.pi * a)
+        # divided by a, the error of sum 1/(k^2 + a^2) itself
+        assert abs(got - want) / a < mp.mpf(10) ** -38
 
     def test_head_grows_with_rate(self):
         # at a = 30 the expansion needs |k| > 30: the head grows to
         # |k| <= 599 to keep q = 1/20, and its tail starts at zeta(., 600)
         mp.dps = 40
         a = mp.mpf(30)
-        got = bilateral_sum(lambda k: 1 / (k ** 2 + a ** 2),
-                            self.lorentz_coeffs(a), a, dps=40)
-        want = mp.pi / a * mp.coth(mp.pi * a)
-        assert abs(got - want) < mp.mpf(10) ** -38
+        got = bilateral_sum(lambda k: a / (k ** 2 + a ** 2), lorentz_weights,
+                            a, a, dps=40)
+        want = mp.pi * mp.coth(mp.pi * a)
+        assert abs(got - want) / a < mp.mpf(10) ** -38
 
     def test_odd_part_cancels(self):
         # a term with a 1/k piece: the two half-line tails cancel it
@@ -81,23 +85,22 @@ class TestBilateralSum:
         def term(k):
             if k == 0:
                 return mp.mpf(0)
-            return 1 / (k + a) / k
+            return a / (k + a) / k
 
-        # 1/(k (k + a)) = (k + a)^-2 / (1 - a/(k + a)): c_n = a^(n-1) at
+        # a/(k (k + a)) = a (k + a)^-2 / (1 - a/(k + a)): a_n = 1, x = a at
         # shift a, so both Hurwitz tails are needed
-        coeffs = (a ** (n - 1) for n in count(1))
-        got = bilateral_sum(term, coeffs, 1, shift=a, dps=40)
-        # partial fractions: 1/(k(k+a)) = (1/a)(1/k - 1/(k+a)); the two
-        # half-line sums telescope to digamma values
-        want = (mp.digamma(1 + a) - mp.digamma(1 - a)) / a
-        assert abs(got - want) < mp.mpf(10) ** -38
+        got = bilateral_sum(term, unit_weights, a, 1, shift=a, dps=40)
+        # partial fractions: a/(k(k+a)) = 1/k - 1/(k+a); the two half-line
+        # sums telescope to digamma values
+        want = mp.digamma(1 + a) - mp.digamma(1 - a)
+        assert abs(got - want) / a < mp.mpf(10) ** -38
 
     def test_tight_tolerance_achieved(self):
         # the tail bound follows dps, here far below any fixed tolerance
         mp.dps = 15
         with mp.workdps(110):
             got = bilateral_sum(lambda k: 1 / (mp.mpf(k) ** 2 + 1),
-                                self.lorentz_coeffs(1), 1, dps=100)
+                                lorentz_weights, 1, 1, dps=100)
             want = mp.pi * mp.coth(mp.pi)
             assert abs(got - want) < mp.mpf(10) ** -98
 
@@ -108,7 +111,7 @@ class TestBilateralSum:
             calls.append(k)
             return 1 / (mp.mpf(k) ** 2 + 1)
 
-        bilateral_sum(term, self.lorentz_coeffs(1), 1, dps=50)
+        bilateral_sum(term, lorentz_weights, 1, 1, dps=50)
         assert sorted(calls) == list(range(-20, 21))
 
     def test_refuses_when_tail_ratio_reaches_one(self):
@@ -119,9 +122,9 @@ class TestBilateralSum:
 
         def term(k):
             calls.append(k)
-            return mp.mpf(1) / (k ** 2 + b ** 2)
+            return mp.mpf(b) / (k ** 2 + b ** 2)
 
         with pytest.raises(AccuracyError) as exc:
-            bilateral_sum(term, self.lorentz_coeffs(b), b, dps=30)
+            bilateral_sum(term, lorentz_weights, b, b, dps=30)
         assert exc.value.estimate >= 1
         assert calls == []

@@ -7,10 +7,15 @@ independent route (special-function values and quadrature on one side,
 exact series coefficients on the other).
 """
 
+import os
+import subprocess
+import sys
+import time
+
 from mpmath import mp
 import pytest
 
-from p1torsion import specfun, torsion
+from p1torsion import quadrature, specfun, torsion
 from p1torsion.torsion import CancellationError, ConvergenceError
 
 
@@ -93,6 +98,21 @@ class TestIClass:
         with pytest.raises(ValueError):
             torsion.i_class_direct(0, 7.0, dps=30)
 
+    def test_value_refuses_near_two_pi_fast(self):
+        # at t = 6.2 the series needs terms up to about t^10000 for 50
+        # digits; the count is known before any coefficient is built
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="i_class_direct"):
+            torsion.i_class_value(1, "6.2", dps=50)
+        assert time.perf_counter() - start < 0.1
+
+    def test_value_near_the_cap_matches_direct(self):
+        # t = 5.5 needs terms up to t^1045, still below the cap
+        mp.dps = 15
+        got = torsion.i_class_value(2, "5.5", dps=50)
+        want = torsion.i_class_direct(2, "5.5", dps=50)
+        assert abs(got - want) <= mp.mpf(10) ** -50 * max(1, abs(want))
+
 
 def _nsum_log_sum(s, t, dps):
     """sum_k log(1 + t/d_k)/(d_k + t), d_k = 2 pi k + s, d_k = 0 left out,
@@ -142,6 +162,59 @@ class TestBilateralLogSum:
             b = torsion.bilateral_log_sum(mp.mpf("2.1") + 4 * mp.pi, "0.63",
                                           dps=50)
             assert abs(a - b) <= mp.mpf(10) ** -49
+
+
+class TestPrecisionTables:
+    """The t-independent tables of the I-class routes are built once per
+    working precision, and no result depends on the order of the calls."""
+
+    def test_one_hurwitz_pass_per_precision(self, monkeypatch):
+        passes = []
+        hurwitz = quadrature.hurwitz_zeta_values
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return hurwitz(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "hurwitz_zeta_values", counted)
+        monkeypatch.setattr(quadrature, "_ODD_TAILS", {})
+        for j in range(10):
+            torsion.i_class_direct(j - 3, mp.mpf("0.3") + j * mp.mpf("0.6"),
+                                   dps=50)
+        assert len(passes) == 1
+        torsion.i_class_direct(1, "2.5", dps=70)
+        assert len(passes) == 2
+
+    def test_values_do_not_depend_on_call_order(self, monkeypatch):
+        # a fresh process builds dps 50 first; this one builds dps 100
+        # first, from empty tables, under a global precision of 15
+        script = (
+            "from mpmath import mp\n"
+            "from p1torsion import torsion\n"
+            "for dps in (50, 100):\n"
+            "    for f in (torsion.i_class_direct, torsion.i_class_value):\n"
+            "        v = f(3, '4.3', dps=dps)\n"
+            "        print(v.man, v.exp)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        fresh = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True,
+                               check=True).stdout.split("\n")
+
+        monkeypatch.setattr(quadrature, "_ODD_TAILS", {})
+        monkeypatch.setattr(torsion, "_LOG_SUM_WEIGHTS", {})
+        monkeypatch.setattr(torsion, "_I_CLASS_COEFFS", {})
+        mp.dps = 15
+        got = {}
+        for dps in (100, 50, 100):
+            for f in (torsion.i_class_direct, torsion.i_class_value):
+                v = f(3, "4.3", dps=dps)
+                got.setdefault((f.__name__, dps), set()).add(
+                    f"{v.man} {v.exp}")
+        assert mp.dps == 15
+        assert got == {("i_class_direct", 50): {fresh[0]},
+                       ("i_class_value", 50): {fresh[1]},
+                       ("i_class_direct", 100): {fresh[2]},
+                       ("i_class_value", 100): {fresh[3]}}
 
 
 class TestTdchs:
