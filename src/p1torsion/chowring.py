@@ -276,19 +276,6 @@ class BundleClass:
         return out
 
 
-def reduce(coeffs, cap: int = DEFAULT_DEGREE_CAP,
-           relation_sign: int = -1) -> BundleClass:
-    """Normal form of sum_j coeffs[j] x^j, coeffs in BaseClass (or scalars),
-    under x^2 = relation_sign * c1 x - c2.  Horner evaluation."""
-    x = BundleClass.x(cap, relation_sign)
-    result = BundleClass.zero(cap, relation_sign)
-    for coeff in reversed(list(coeffs)):
-        if not isinstance(coeff, BaseClass):
-            coeff = BaseClass.monomial(0, 0, coeff, cap)
-        result = result * x + BundleClass.from_base(coeff, relation_sign)
-    return result
-
-
 def fiber_integrate(q: BundleClass) -> BaseClass:
     """pi_*(a + b x) = b."""
     return q.b

@@ -11,8 +11,9 @@ Commands:
 
 Output is deterministic JSON on stdout; diagnostics go to stderr.  Exit
 codes: 0 success, 1 numeric/consistency failure, 2 usage error.  The
-default working precision (decimal digits) can be set with the
-P1TORSION_PRECISION environment variable.
+default precision of the results (decimal digits; each is computed with 10
+more and rounded) can be set with the P1TORSION_PRECISION environment
+variable.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # by the main parser when the flag is given before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="working precision in decimal digits (>= 20)")
+                        help="precision of the results in decimal digits "
+                             "(>= 20)")
     common.add_argument("--order", type=int, default=argparse.SUPPRESS,
                         help="series truncation order")
     parser = argparse.ArgumentParser(

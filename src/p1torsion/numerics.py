@@ -12,11 +12,19 @@ transcendental symbols
 
 Keeping log n in prime-factored form and zeta(-m) folded into the rational
 part makes cancellations exact set-differences rather than numeric near-zeros.
+
+Working precision is set in one place, the ``guarded`` decorator: every
+numeric entry point of the package takes the number of digits ``dps`` it
+returns, works at dps + GUARD_DPS and rounds its result to dps.  Only the
+tables keyed on a working precision and the Si/Ci Taylor series (which needs
+more digits as its argument grows) set a precision of their own.
 """
 
 from __future__ import annotations
 
-import re
+import dataclasses
+import functools
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,8 +34,48 @@ import mpmath as mp
 
 Rational = Fraction
 
-# Guard digits: work at dps + GUARD_DPS, then round the result to dps.
+# Guard digits: every numeric entry point works at its dps + GUARD_DPS digits
+# and rounds its result to dps (see guarded).
 GUARD_DPS = 10
+
+
+def guarded(fn):
+    """Run a numeric entry point at its ``dps`` argument + GUARD_DPS digits
+    and round its result to dps, so that the result does not depend on the
+    caller's global mp.dps.
+
+    Inside the call ``dps`` still names the requested precision: an inner
+    guarded call given dps works at the same dps + GUARD_DPS, not under a
+    second guard.  Rounding reaches every mpf and mpc in the result, also
+    inside tuples, dicts and dataclass fields.
+    """
+    params = inspect.signature(fn).parameters
+    index, default = list(params).index("dps"), params["dps"].default
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        dps = args[index] if index < len(args) else kwargs.get("dps", default)
+        with mp.workdps(dps + GUARD_DPS):
+            result = fn(*args, **kwargs)
+        with mp.workdps(dps):
+            return _rounded(result)
+
+    return run
+
+
+def _rounded(value):
+    """value with every mpf and mpc in it rounded to the current precision."""
+    if isinstance(value, (mp.mpf, mp.mpc)):
+        return +value
+    if isinstance(value, tuple):
+        return tuple(map(_rounded, value))
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: _rounded(getattr(value, f.name))
+            for f in dataclasses.fields(value)})
+    return value
 
 
 class SymbolProductError(TypeError):
@@ -82,20 +130,6 @@ class ConstSymbol:
 ONE = ConstSymbol("ONE")
 GAMMA = ConstSymbol("GAMMA")
 LOG_T = ConstSymbol("LOG_T")
-
-_SYMBOL_RE = re.compile(r"^(ONE|GAMMA|LOG_T|ZETA_PRIME\(-(\d+)\)|LOG\((\d+)\))$")
-
-
-def symbol_from_string(text: str) -> ConstSymbol:
-    m = _SYMBOL_RE.match(text)
-    if not m:
-        raise ValueError(f"unparseable symbol {text!r}")
-    if m.group(2) is not None:
-        return ConstSymbol("ZETA_PRIME", int(m.group(2)))
-    if m.group(3) is not None:
-        return ConstSymbol("LOG", int(m.group(3)))
-    return ConstSymbol(text)
-
 
 def _prime_factors(n: int) -> Iterator[tuple[int, int]]:
     d = 2
@@ -247,35 +281,33 @@ class ConstExpr:
 
     # -- numeric evaluation ----------------------------------------------------
 
+    @guarded
     def eval(self, dps: int = 50, logt_value=None) -> mp.mpf:
         """Substitute numeric values for all symbols and return the sum.
 
         ``logt_value`` must be supplied when a LOG_T term is present.
-        Summation runs in canonical symbol order at a guarded precision, so
-        the result is independent of construction order.
+        Summation runs in canonical symbol order, so the result is
+        independent of construction order.
         """
         from . import specfun  # deferred: specfun builds on this module
 
-        with mp.workdps(dps + GUARD_DPS):
-            total = mp.mpf(0)
-            for sym, c in self.terms():
-                coeff = mp.mpf(c.numerator) / c.denominator
-                if sym == ONE:
-                    val = mp.mpf(1)
-                elif sym == GAMMA:
-                    val = +mp.euler
-                elif sym == LOG_T:
-                    if logt_value is None:
-                        raise EvaluationError("LOG_T present but no logt_value given")
-                    val = mp.mpf(logt_value)
-                elif sym.kind == "LOG":
-                    val = mp.log(sym.arg)
-                else:  # ZETA_PRIME
-                    val = specfun.zeta_prime_neg(sym.arg, dps=dps + GUARD_DPS)
-                total += coeff * val
-            result = total
-        with mp.workdps(dps):
-            return +result
+        total = mp.mpf(0)
+        for sym, c in self.terms():
+            coeff = mp.mpf(c.numerator) / c.denominator
+            if sym == ONE:
+                val = mp.mpf(1)
+            elif sym == GAMMA:
+                val = +mp.euler
+            elif sym == LOG_T:
+                if logt_value is None:
+                    raise EvaluationError("LOG_T present but no logt_value given")
+                val = mp.mpf(logt_value)
+            elif sym.kind == "LOG":
+                val = mp.log(sym.arg)
+            else:  # ZETA_PRIME
+                val = specfun.zeta_prime_neg(sym.arg, dps=dps + GUARD_DPS)
+            total += coeff * val
+        return total
 
 
 ZERO_EXPR = ConstExpr()
@@ -425,11 +457,3 @@ def const_to_json(e: ConstExpr) -> dict:
             for sym, c in e.terms()
         ]
     }
-
-
-def const_from_json(data: Mapping) -> ConstExpr:
-    terms: dict[ConstSymbol, Fraction] = {}
-    for item in data["terms"]:
-        sym = symbol_from_string(item["symbol"])
-        terms[sym] = terms.get(sym, Fraction(0)) + Fraction(int(item["num"]), int(item["den"]))
-    return ConstExpr(terms)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .numerics import GUARD_DPS
+from .numerics import GUARD_DPS, guarded
 from .specfun import hurwitz_zeta_values
 
 HEAD_K = 20         # the head |k| <= K keeps q = rate/(K + 1 - |shift|) <= 1/20
@@ -54,30 +54,32 @@ class QuadResult:
     error_estimate: mp.mpf
 
 
+@guarded
 def integrate(spec: IntegrandSpec, tol=None, dps: int = 50,
               breakpoints=None) -> QuadResult:
     """Integrate with tanh-sinh quadrature, which absorbs endpoint
     singularities of removable or logarithmic type.
 
     ``breakpoints`` splits the interval (useful for oscillatory integrands).
-    Raises AccuracyError when the error estimate exceeds ``tol``.
+    Raises AccuracyError when the error estimate exceeds ``tol``, by default
+    10^(2 - dps) for the requested dps.
     """
-    with mp.workdps(dps):
-        if tol is None:
-            tol = mp.mpf(10) ** (2 - dps)
-        points = [mp.mpf(spec.a)]
-        if breakpoints:
-            points.extend(mp.mpf(p) for p in breakpoints)
-        points.append(mp.mpf(spec.b))
-        value, err = mp.quad(spec.f, points, error=True)
-        value, err = +value, +mp.mpf(abs(err))
-        if err > tol:
-            raise AccuracyError(
-                f"quadrature error estimate {mp.nstr(err, 5)} exceeds tol",
-                partial=value, estimate=err)
-        return QuadResult(value=value, error_estimate=err)
+    if tol is None:
+        tol = mp.mpf(10) ** (2 - dps)
+    points = [mp.mpf(spec.a)]
+    if breakpoints:
+        points.extend(mp.mpf(p) for p in breakpoints)
+    points.append(mp.mpf(spec.b))
+    value, err = mp.quad(spec.f, points, error=True)
+    err = mp.mpf(abs(err))
+    if err > tol:
+        raise AccuracyError(
+            f"quadrature error estimate {mp.nstr(err, 5)} exceeds tol",
+            partial=value, estimate=err)
+    return QuadResult(value=value, error_estimate=err)
 
 
+@guarded
 def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
                   shift=0, dps: int = 50) -> mp.mpf:
     """Sum term(k) over all integers k, with an exact tail.
@@ -111,39 +113,36 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     one expansion should always pass the same function.
     """
     wdps = dps + GUARD_DPS
-    with mp.workdps(wdps):
-        rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
-        K = min(max(HEAD_K, int(mp.ceil(HEAD_K * rate + abs(shift))) - 1),
-                MAX_HEAD_K)
-        D = K + 1 - abs(shift)
-        q = rate / D if D > 0 else mp.inf
-        if q >= 1:
-            raise AccuracyError(
-                f"bilateral tail ratio q = {mp.nstr(q, 5)} is not below 1 "
-                f"with a head of {2 * K + 1} terms", estimate=q)
-        n_terms = _tail_terms(float(D), float(q), wdps)
-        head = mp.fsum(term(k) for k in range(-K, K + 1))
-        if not n_terms:
-            tail = 0
-        elif shift == 0:
-            tail = 0
-            x2 = x * x
-            for w in reversed(_odd_tail(weights, K + 1, n_terms, wdps)
-                              [:(n_terms + 1) // 2]):
-                tail = tail * x2 + w
-            tail *= x
-        else:
-            a = weights(n_terms, wdps)
-            ss = range(2, n_terms + 2)
-            right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
-            left = hurwitz_zeta_values(ss, K + 1 - shift, wdps)
-            tail = 0
-            for n in range(n_terms, 0, -1):
-                zeta = right[n + 1] - (-1) ** n * left[n + 1]
-                tail = (tail + a[n - 1] * zeta) * x
-        result = head + tail
-    with mp.workdps(dps):
-        return +result
+    rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
+    K = min(max(HEAD_K, int(mp.ceil(HEAD_K * rate + abs(shift))) - 1),
+            MAX_HEAD_K)
+    D = K + 1 - abs(shift)
+    q = rate / D if D > 0 else mp.inf
+    if q >= 1:
+        raise AccuracyError(
+            f"bilateral tail ratio q = {mp.nstr(q, 5)} is not below 1 "
+            f"with a head of {2 * K + 1} terms", estimate=q)
+    n_terms = _tail_terms(float(D), float(q), wdps)
+    head = mp.fsum(term(k) for k in range(-K, K + 1))
+    if not n_terms:
+        tail = 0
+    elif shift == 0:
+        tail = 0
+        x2 = x * x
+        for w in reversed(_odd_tail(weights, K + 1, n_terms, wdps)
+                          [:(n_terms + 1) // 2]):
+            tail = tail * x2 + w
+        tail *= x
+    else:
+        a = weights(n_terms, wdps)
+        ss = range(2, n_terms + 2)
+        right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
+        left = hurwitz_zeta_values(ss, K + 1 - shift, wdps)
+        tail = 0
+        for n in range(n_terms, 0, -1):
+            zeta = right[n + 1] - (-1) ** n * left[n + 1]
+            tail = (tail + a[n - 1] * zeta) * x
+    return head + tail
 
 
 # (weights, K + 1, working dps) -> [2 a_n zeta(n+1, K+1) for n = 1, 3, ...]

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional
 
 import mpmath as mp
 
-from .numerics import LOG_T, ConstExpr
+from .numerics import LOG_T, ConstExpr, guarded
 from .quadrature import IntegrandSpec, integrate
 from .series import LaurentSeries, hash_weight, star
 
@@ -103,22 +103,22 @@ def _log_weight_symbolic() -> ConstExpr:
     return ConstExpr.log_t(2) + ConstExpr.gamma(2)
 
 
-def s_pairing_integral(profile: TestProfile, t, dps: int = 50, tol=None):
+@guarded
+def s_pairing_integral(profile: TestProfile, t, dps: int = 50):
     """Integral form of the S-current pairing at parameter t != 0."""
-    with mp.workdps(dps):
-        tv = mp.mpf(t)
-        if tv == 0:
-            raise ValueError("s_pairing_integral needs t != 0")
-        g1 = mp.mpf(profile.value(1))
+    tv = mp.mpf(t)
+    if tv == 0:
+        raise ValueError("s_pairing_integral needs t != 0")
+    g1 = mp.mpf(profile.value(1))
 
-        def integrand(r):
-            if abs(r) == 1:
-                return mp.mpf(0)  # removable after combining the terms
-            return (2 * profile.value(r) - 2 * g1) / (1 - r * r)
+    def integrand(r):
+        if abs(r) == 1:
+            return mp.mpf(0)  # removable after combining the terms
+        return (2 * profile.value(r) - 2 * g1) / (1 - r * r)
 
-        quad = integrate(IntegrandSpec(integrand, -1, 1), tol=tol, dps=dps)
-        weight = mp.log(tv * tv) + 2 * mp.euler
-        return +(quad.value / tv ** 2 + weight * 2 * g1 / tv ** 2)
+    quad = integrate(IntegrandSpec(integrand, -1, 1), dps=dps)
+    weight = mp.log(tv * tv) + 2 * mp.euler
+    return quad.value / tv ** 2 + weight * 2 * g1 / tv ** 2
 
 
 def s_pairing_series(profile: TestProfile, t=None, dps: int = 50):
@@ -130,8 +130,7 @@ def s_pairing_series(profile: TestProfile, t=None, dps: int = 50):
     series = LaurentSeries({-2: coeff}, -2, 2)
     if t is None:
         return series
-    with mp.workdps(dps):
-        return series.evaluate(t, dps=dps)
+    return series.evaluate(t, dps=dps)
 
 
 def s_pairing_star_variant(profile: TestProfile, t=None, order: int = 12,
@@ -148,26 +147,26 @@ def s_pairing_star_variant(profile: TestProfile, t=None, order: int = 12,
     series = -star(base) + base.scale(_log_weight_symbolic())
     if t is None:
         return series
-    with mp.workdps(dps):
-        return series.evaluate(t, dps=dps)
+    return series.evaluate(t, dps=dps)
 
 
+@guarded
 def fixed_point_functional(profile: TestProfile, t, eta_t: bool = True,
                            dps: int = 50):
     """The fixed-point integral int_{M_X} eta (c_top,tX^{-1})'(TM):
     2g~(t)/t^2 in the eta_t convention, else 2g~(1)/t^2."""
-    with mp.workdps(dps):
-        tv = mp.mpf(t)
-        if tv == 0:
-            raise ValueError("fixed_point_functional needs t != 0")
-        g = profile.value(tv) if eta_t else profile.value(1)
-        return +(2 * g / tv ** 2)
+    tv = mp.mpf(t)
+    if tv == 0:
+        raise ValueError("fixed_point_functional needs t != 0")
+    g = profile.value(tv) if eta_t else profile.value(1)
+    return 2 * g / tv ** 2
 
 
 def _symmetrize(f: Callable) -> Callable:
     return lambda u: (f(u) + f(-u)) / 2
 
 
+@guarded
 def check_defining_property(f0: Callable, f1: Callable, dps: int = 50):
     """Residuals of the two critical-relation identities of the current.
 
@@ -181,44 +180,43 @@ def check_defining_property(f0: Callable, f1: Callable, dps: int = 50):
     the fixed-point evaluation i f0(N) - i f0(S); with the factor i stripped
     this is f0(pi/2) - f0(-pi/2).
     """
-    with mp.workdps(dps):
-        f1s = _symmetrize(f1)
+    f1s = _symmetrize(f1)
 
-        def g1_profile(r):
-            u = mp.asin(mp.mpf(r))
-            return mp.pi / 2 * f1s(u) * mp.cos(u) ** 2
+    def g1_profile(r):
+        u = mp.asin(mp.mpf(r))
+        return mp.pi / 2 * f1s(u) * mp.cos(u) ** 2
 
-        lhs1 = s_pairing_integral(TestProfile(func=g1_profile), 1, dps=dps)
-        rhs1 = integrate(IntegrandSpec(
-            lambda u: mp.pi * f1s(u) * mp.cos(u), -mp.pi / 2, mp.pi / 2),
-            dps=dps).value
-        residual1 = abs(lhs1 - rhs1)
+    lhs1 = s_pairing_integral(TestProfile(func=g1_profile), 1, dps=dps)
+    rhs1 = integrate(IntegrandSpec(
+        lambda u: mp.pi * f1s(u) * mp.cos(u), -mp.pi / 2, mp.pi / 2),
+        dps=dps).value
+    residual1 = abs(lhs1 - rhs1)
 
-        h = mp.mpf(10) ** (-dps // 3)
+    h = mp.mpf(10) ** (-dps // 3)
 
-        def f0_prime(u):
-            return (f0(u + h) - f0(u - h)) / (2 * h)
+    def f0_prime(u):
+        return (f0(u + h) - f0(u - h)) / (2 * h)
 
-        def g0_profile(r):
-            u = mp.asin(mp.mpf(r))
-            return mp.cos(u) * f0_prime(u) / 2
+    def g0_profile(r):
+        u = mp.asin(mp.mpf(r))
+        return mp.cos(u) * f0_prime(u) / 2
 
-        lhs2 = s_pairing_integral(TestProfile(func=g0_profile), 1, dps=dps)
-        rhs2 = f0(mp.pi / 2) - f0(-mp.pi / 2)
-        residual2 = abs(lhs2 - rhs2)
-        return +residual1, +residual2
+    lhs2 = s_pairing_integral(TestProfile(func=g0_profile), 1, dps=dps)
+    rhs2 = f0(mp.pi / 2) - f0(-mp.pi / 2)
+    residual2 = abs(lhs2 - rhs2)
+    return residual1, residual2
 
 
+@guarded
 def check_scaling(profile: TestProfile, t, c, dps: int = 50):
     """Residual of c^2 P(c t) - P(t) = log(c^2) 2g~(1)/t^2 (numeric)."""
-    with mp.workdps(dps):
-        tv, cv = mp.mpf(t), mp.mpf(c)
-        if tv == 0 or cv <= 0:
-            raise ValueError("check_scaling needs t != 0 and c > 0")
-        g1 = mp.mpf(profile.value(1))
-        lhs = cv ** 2 * s_pairing_integral(profile, cv * tv, dps=dps)
-        rhs = s_pairing_integral(profile, tv, dps=dps) + mp.log(cv ** 2) * 2 * g1 / tv ** 2
-        return +abs(lhs - rhs)
+    tv, cv = mp.mpf(t), mp.mpf(c)
+    if tv == 0 or cv <= 0:
+        raise ValueError("check_scaling needs t != 0 and c > 0")
+    g1 = mp.mpf(profile.value(1))
+    lhs = cv ** 2 * s_pairing_integral(profile, cv * tv, dps=dps)
+    rhs = s_pairing_integral(profile, tv, dps=dps) + mp.log(cv ** 2) * 2 * g1 / tv ** 2
+    return abs(lhs - rhs)
 
 
 def check_scaling_symbolic(profile: TestProfile, c) -> ConstExpr:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 import mpmath as mp
 
-from .numerics import (GUARD_DPS, ONE, ConstExpr, SymbolProductError,
+from .numerics import (GUARD_DPS, ONE, ConstExpr, SymbolProductError, guarded,
                        harmonic, parts_coeff, parts_from, parts_keys,
                        parts_product, parts_scale, parts_select, parts_sum,
                        reduced)
@@ -219,20 +219,19 @@ class LaurentSeries:
 
     # -- evaluation ----------------------------------------------------------------
 
+    @guarded
     def evaluate(self, t, logt=None, dps: int = 50):
         """Numeric value sum a_m t^m; needs t != 0 when poles are present."""
         degrees = self.degrees()
-        with mp.workdps(dps + GUARD_DPS):
-            tv = mp.mpf(t)
-            if tv == 0 and self.min_degree < 0 and any(d < 0 for d in degrees):
-                raise ZeroDivisionError("evaluating a pole at t = 0")
-            if logt is None and tv > 0:
-                logt = mp.log(tv)
-            total = mp.mpf(0)
-            for d in degrees:
-                total += self.coeff(d).eval(dps=dps + GUARD_DPS, logt_value=logt) * tv ** d
-        with mp.workdps(dps):
-            return +total
+        tv = mp.mpf(t)
+        if tv == 0 and self.min_degree < 0 and any(d < 0 for d in degrees):
+            raise ZeroDivisionError("evaluating a pole at t = 0")
+        if logt is None and tv > 0:
+            logt = mp.log(tv)
+        total = mp.mpf(0)
+        for d in degrees:
+            total += self.coeff(d).eval(dps=dps + GUARD_DPS, logt_value=logt) * tv ** d
+        return total
 
     def to_json(self, dps: Optional[int] = None) -> dict:
         from .numerics import const_to_json

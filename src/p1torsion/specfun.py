@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import GUARD_DPS, ConstExpr, harmonic
+from .numerics import GUARD_DPS, ConstExpr, guarded, harmonic
 from .series import DEFAULT_ORDER, LaurentSeries
 
 
@@ -72,6 +72,7 @@ def _pochhammer_and_derivative(s, n: int):
     return p, dp
 
 
+@guarded
 def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued by Euler-Maclaurin.
 
@@ -79,46 +80,43 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
     analytic derivative of the same Euler-Maclaurin formula).  Valid for
     real or complex s != 1 and a > 0.
     """
-    with mp.workdps(dps + GUARD_DPS):
-        s = mp.mpmathify(s)
-        a = mp.mpf(a)
-        if s == 1:
-            raise ValueError("Hurwitz zeta has a pole at s = 1")
-        # Choose the shift N and correction depth J for the target precision.
-        N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * (dps + GUARD_DPS)))
-        J = dps + GUARD_DPS
-        X = N + a
-        logX = mp.log(X)
-        head = mp.mpf(0)
-        for n in range(N):
-            base = (n + a) ** (-s)
-            head += -mp.log(n + a) * base if derivative else base
-        pole = X ** (1 - s) / (s - 1)
+    s = mp.mpmathify(s)
+    a = mp.mpf(a)
+    if s == 1:
+        raise ValueError("Hurwitz zeta has a pole at s = 1")
+    # Choose the shift N and correction depth J for the target precision.
+    N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * (dps + GUARD_DPS)))
+    J = dps + GUARD_DPS
+    X = N + a
+    logX = mp.log(X)
+    head = mp.mpf(0)
+    for n in range(N):
+        base = (n + a) ** (-s)
+        head += -mp.log(n + a) * base if derivative else base
+    pole = X ** (1 - s) / (s - 1)
+    if derivative:
+        pole = X ** (1 - s) * (-logX / (s - 1) - 1 / (s - 1) ** 2)
+    mid = X ** (-s) / 2
+    if derivative:
+        mid = -logX * X ** (-s) / 2
+    tail = mp.mpf(0)
+    prev = mp.inf
+    for j in range(1, J + 1):
+        b = bernoulli(2 * j)
+        coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+        p, dp = _pochhammer_and_derivative(s, 2 * j - 1)
+        power = X ** (-s - 2 * j + 1)
         if derivative:
-            pole = X ** (1 - s) * (-logX / (s - 1) - 1 / (s - 1) ** 2)
-        mid = X ** (-s) / 2
-        if derivative:
-            mid = -logX * X ** (-s) / 2
-        tail = mp.mpf(0)
-        prev = mp.inf
-        for j in range(1, J + 1):
-            b = bernoulli(2 * j)
-            coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-            p, dp = _pochhammer_and_derivative(s, 2 * j - 1)
-            power = X ** (-s - 2 * j + 1)
-            if derivative:
-                term = coeff * (dp - p * logX) * power
-            else:
-                term = coeff * p * power
-            if abs(term) > prev:
-                break  # asymptotic series started diverging
-            tail += term
-            prev = abs(term)
-            if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
-                break
-        result = head + pole + mid + tail
-    with mp.workdps(dps):
-        return +result
+            term = coeff * (dp - p * logX) * power
+        else:
+            term = coeff * p * power
+        if abs(term) > prev:
+            break  # asymptotic series started diverging
+        tail += term
+        prev = abs(term)
+        if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
+            break
+    return head + pole + mid + tail
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +152,7 @@ def _em_shift(a: float, ss, wdps: int) -> int:
     return M
 
 
+@guarded
 def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
     """{s: zeta(s, a)} for the integers s >= 2 in ss, a > 0, in one
     Euler-Maclaurin pass shared by all s.
@@ -173,65 +172,64 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
     if not ss or ss[0] < 2 or any(int(s) != s for s in ss):
         raise ValueError("hurwitz_zeta_values needs integers s >= 2")
     wdps = dps + GUARD_DPS
-    with mp.workdps(wdps):
-        a = mp.mpf(a)
-        if a <= 0:
-            raise ValueError("hurwitz_zeta_values needs a > 0")
-        M = _em_shift(float(a), ss, wdps)
-        X = a + M
-        bits = mp.mp.prec + 20
+    a = mp.mpf(a)
+    if a <= 0:
+        raise ValueError("hurwitz_zeta_values needs a > 0")
+    M = _em_shift(float(a), ss, wdps)
+    X = a + M
+    bits = mp.mp.prec + 20
 
-        def fixed(x):
-            return int(mp.ldexp(x, bits))
+    def fixed(x):
+        return int(mp.ldexp(x, bits))
 
-        # s runs through ss in order; each power steps up from the last
-        gaps = [ss[0]] + [q - p for p, q in zip(ss, ss[1:])]
-        direct = dict.fromkeys(ss, 0)
-        for j in range(M):
-            ratio = fixed(a / (a + j))
-            steps = {g: ratio ** g >> bits * (g - 1) for g in set(gaps)}
-            power = 1 << bits
-            for s, g in zip(ss, gaps):
-                power = power * steps[g] >> bits
-                direct[s] += power
-
-        x_fixed = fixed(X)
-        inv_y2 = fixed(1 / (2 * mp.pi * X) ** 2)
-        turn = float(2 * mp.pi * X)  # the bound grows past s + 2i - 1 = turn
-        eps = mp.mpf(10) ** -wdps
-        correction = {}
-        for s in ss:
-            lead = x_fixed // (s - 1)
-            total = lead + (1 << (bits - 1))
-            target = int(eps * lead)
-            # X (s)_{2i-1}/(2 pi X)^{2i}; times B_{2i}(2 pi)^{2i}/(2i)! it is
-            # the i-th correction, and four times it bounds the remainder
-            scaled = s * x_fixed * inv_y2 >> bits
-            i = 1
-            while True:
-                total += _em_coeff_fixed(i, bits) * scaled >> bits
-                if 4 * scaled <= target:
-                    break
-                scaled = (scaled * ((s + 2 * i - 1) * (s + 2 * i)) * inv_y2
-                          >> bits)
-                i += 1
-                if s + 2 * i - 1 > turn:
-                    raise ArithmeticError(  # _em_shift rules this out
-                        f"Euler-Maclaurin for zeta({s}, a) stopped converging")
-            correction[s] = total
-
-        values = {}
-        a_steps = {g: a ** -g for g in set(gaps)}
-        x_steps = {g: X ** -g for g in set(gaps)}
-        a_pow, x_pow = mp.ldexp(1, -bits), mp.ldexp(1, -bits)
+    # s runs through ss in order; each power steps up from the last
+    gaps = [ss[0]] + [q - p for p, q in zip(ss, ss[1:])]
+    direct = dict.fromkeys(ss, 0)
+    for j in range(M):
+        ratio = fixed(a / (a + j))
+        steps = {g: ratio ** g >> bits * (g - 1) for g in set(gaps)}
+        power = 1 << bits
         for s, g in zip(ss, gaps):
-            a_pow *= a_steps[g]
-            x_pow *= x_steps[g]
-            values[s] = a_pow * direct[s] + x_pow * correction[s]
-    with mp.workdps(dps):
-        return {s: +v for s, v in values.items()}
+            power = power * steps[g] >> bits
+            direct[s] += power
+
+    x_fixed = fixed(X)
+    inv_y2 = fixed(1 / (2 * mp.pi * X) ** 2)
+    turn = float(2 * mp.pi * X)  # the bound grows past s + 2i - 1 = turn
+    eps = mp.mpf(10) ** -wdps
+    correction = {}
+    for s in ss:
+        lead = x_fixed // (s - 1)
+        total = lead + (1 << (bits - 1))
+        target = int(eps * lead)
+        # X (s)_{2i-1}/(2 pi X)^{2i}; times B_{2i}(2 pi)^{2i}/(2i)! it is
+        # the i-th correction, and four times it bounds the remainder
+        scaled = s * x_fixed * inv_y2 >> bits
+        i = 1
+        while True:
+            total += _em_coeff_fixed(i, bits) * scaled >> bits
+            if 4 * scaled <= target:
+                break
+            scaled = (scaled * ((s + 2 * i - 1) * (s + 2 * i)) * inv_y2
+                      >> bits)
+            i += 1
+            if s + 2 * i - 1 > turn:
+                raise ArithmeticError(  # _em_shift rules this out
+                    f"Euler-Maclaurin for zeta({s}, a) stopped converging")
+        correction[s] = total
+
+    values = {}
+    a_steps = {g: a ** -g for g in set(gaps)}
+    x_steps = {g: X ** -g for g in set(gaps)}
+    a_pow, x_pow = mp.ldexp(1, -bits), mp.ldexp(1, -bits)
+    for s, g in zip(ss, gaps):
+        a_pow *= a_steps[g]
+        x_pow *= x_steps[g]
+        values[s] = a_pow * direct[s] + x_pow * correction[s]
+    return values
 
 
+@guarded
 def stieltjes_gamma1(a, dps: int = 50):
     """Generalized Stieltjes constant gamma_1(a).
 
@@ -239,30 +237,27 @@ def stieltjes_gamma1(a, dps: int = 50):
     accelerated by Euler-Maclaurin corrections for f(x) = log(x)/x, whose
     derivatives are f^{(n)}(x) = (-1)^n n! (log x - H_n)/x^{n+1}.
     """
-    with mp.workdps(dps + GUARD_DPS):
-        a = mp.mpf(a)
-        N = int(1.4 * (dps + GUARD_DPS)) + 10
-        X = N + a
-        logX = mp.log(X)
-        total = mp.fsum(mp.log(n + a) / (n + a) for n in range(N))
-        total -= logX ** 2 / 2
-        total += logX / (2 * X)  # the f(X)/2 endpoint term
-        prev = mp.inf
-        for j in range(1, dps + GUARD_DPS):
-            b = bernoulli(2 * j)
-            coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-            h = harmonic(2 * j - 1)
-            deriv = -mp.factorial(2 * j - 1) * (logX - mp.mpf(h.numerator) / h.denominator) / X ** (2 * j)
-            term = -coeff * deriv
-            if abs(term) > prev:
-                break
-            total += term
-            prev = abs(term)
-            if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
-                break
-        result = total
-    with mp.workdps(dps):
-        return +result
+    a = mp.mpf(a)
+    N = int(1.4 * (dps + GUARD_DPS)) + 10
+    X = N + a
+    logX = mp.log(X)
+    total = mp.fsum(mp.log(n + a) / (n + a) for n in range(N))
+    total -= logX ** 2 / 2
+    total += logX / (2 * X)  # the f(X)/2 endpoint term
+    prev = mp.inf
+    for j in range(1, dps + GUARD_DPS):
+        b = bernoulli(2 * j)
+        coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+        h = harmonic(2 * j - 1)
+        deriv = -mp.factorial(2 * j - 1) * (logX - mp.mpf(h.numerator) / h.denominator) / X ** (2 * j)
+        term = -coeff * deriv
+        if abs(term) > prev:
+            break
+        total += term
+        prev = abs(term)
+        if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
+            break
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +265,7 @@ def stieltjes_gamma1(a, dps: int = 50):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+@guarded
 def zeta_prime_neg(m: int, dps: int = 50):
     """zeta'(-m) for odd m >= 1 via the functional equation.
 
@@ -280,13 +276,10 @@ def zeta_prime_neg(m: int, dps: int = 50):
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("zeta_prime_neg is defined here only for odd m >= 1")
-    with mp.workdps(dps + GUARD_DPS):
-        zneg = zeta_neg(m)
-        zneg_v = mp.mpf(zneg.numerator) / zneg.denominator
-        ratio = mp.zeta(m + 1, derivative=1) / mp.zeta(m + 1)
-        result = zneg_v * (mp.log(2 * mp.pi) - mp.digamma(m + 1) - ratio)
-    with mp.workdps(dps):
-        return +result
+    zneg = zeta_neg(m)
+    zneg_v = mp.mpf(zneg.numerator) / zneg.denominator
+    ratio = mp.zeta(m + 1, derivative=1) / mp.zeta(m + 1)
+    return zneg_v * (mp.log(2 * mp.pi) - mp.digamma(m + 1) - ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +317,19 @@ def _check_phi(phi):
         raise ValueError("phi must not be congruent to 0 mod 2*pi")
 
 
+@guarded
 def lerch_neg(k: int, phi, dps: int = 50):
     """zeta_L(-k, phi) = Li_{-k}(e^{i phi}) as an exact rational function of
     z = e^{i phi}, evaluated numerically."""
     if k < 0:
         raise ValueError("lerch_neg needs k >= 0")
-    with mp.workdps(dps + GUARD_DPS):
-        _check_phi(phi)
-        z = mp.exp(1j * mp.mpf(phi))
-        num = mp.polyval(list(reversed(_negapolylog_poly(k))), z)
-        result = num / (1 - z) ** (k + 1)
-    with mp.workdps(dps):
-        return +result
+    _check_phi(phi)
+    z = mp.exp(1j * mp.mpf(phi))
+    num = mp.polyval(list(reversed(_negapolylog_poly(k))), z)
+    return num / (1 - z) ** (k + 1)
 
 
+@guarded
 def lerch_prime_neg(k: int, phi, dps: int = 50):
     """d/ds zeta_L(s, phi) at s = -k, by the analytic derivative of the
     Hurwitz-formula continuation.
@@ -349,78 +341,36 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
     if k < 0:
         raise ValueError("lerch_prime_neg needs k >= 0")
     wdps = dps + GUARD_DPS
-    with mp.workdps(wdps):
-        phi = mp.mpf(phi)
-        _check_phi(phi)
-        a = mp.fmod(phi / (2 * mp.pi), 1)
-        if a < 0:
-            a += 1
-        if k == 0:
-            # F(s) = C(s) B(s) with C(0) = 1/(2 pi i), C'(0)/C(0) = log 2pi + gamma,
-            # B(s) = B0 + B1 s + O(s^2):
-            #   B0 = psi(a) - psi(1-a) - i pi
-            #   B1 = gamma_1(1-a) - gamma_1(a) - (i pi/2)(psi(1-a) + psi(a))
-            B0 = mp.digamma(a) - mp.digamma(1 - a) - 1j * mp.pi
-            B1 = (stieltjes_gamma1(1 - a, wdps) - stieltjes_gamma1(a, wdps)
-                  - 0.5j * mp.pi * (mp.digamma(1 - a) + mp.digamma(a)))
-            result = ((mp.log(2 * mp.pi) + mp.euler) * B0 + B1) / (2j * mp.pi)
-        else:
-            s = mp.mpf(-k)
-            w = 1 - s
-            C = (2 * mp.pi) ** s * mp.gamma(w) / (2j * mp.pi)
-            dC = C * (mp.log(2 * mp.pi) - mp.digamma(w))
-            e_plus = mp.exp(1j * mp.pi * s / 2)
-            e_minus = mp.exp(-1j * mp.pi * s / 2)
-            z1 = hurwitz_zeta(w, 1 - a, wdps)
-            z2 = hurwitz_zeta(w, a, wdps)
-            dz1 = hurwitz_zeta(w, 1 - a, wdps, derivative=True)
-            dz2 = hurwitz_zeta(w, a, wdps, derivative=True)
-            B = e_plus * z1 - e_minus * z2
-            # d/ds zeta(1-s, x) = -zeta_w(1-s, x)
-            dB = (0.5j * mp.pi * e_plus * z1 - e_plus * dz1
-                  + 0.5j * mp.pi * e_minus * z2 + e_minus * dz2)
-            result = dC * B + C * dB
-    with mp.workdps(dps):
-        return +result
-
-
-def lerch_value(s, phi, dps: int = 50):
-    """zeta_L(s, phi) for general s != 1, 2, 3, ... by the same continuation.
-
-    Used as the continuation-path oracle; at s = -k it must match lerch_neg.
-    """
-    wdps = dps + GUARD_DPS
-    with mp.workdps(wdps):
-        s = mp.mpmathify(s)
-        phi = mp.mpf(phi)
-        _check_phi(phi)
-        a = mp.fmod(phi / (2 * mp.pi), 1)
-        if a < 0:
-            a += 1
-        if s == 1:
-            raise ValueError("zeta_L(1, phi) is outside this continuation")
-        if mp.isint(s) and s > 1:
-            # Gamma(1-s) has a simple pole and the bracket vanishes; the
-            # product tends to (residue of C) * B'(n).
-            n = int(s)
-            e_plus = mp.exp(1j * mp.pi * n / 2)
-            e_minus = mp.exp(-1j * mp.pi * n / 2)
-            z1 = hurwitz_zeta(1 - n, 1 - a, wdps)
-            z2 = hurwitz_zeta(1 - n, a, wdps)
-            dz1 = hurwitz_zeta(1 - n, 1 - a, wdps, derivative=True)
-            dz2 = hurwitz_zeta(1 - n, a, wdps, derivative=True)
-            dB = (0.5j * mp.pi * e_plus * z1 - e_plus * dz1
-                  + 0.5j * mp.pi * e_minus * z2 + e_minus * dz2)
-            res_C = (2 * mp.pi) ** n / (2j * mp.pi) * (-(-1) ** (n - 1)
-                                                       / mp.factorial(n - 1))
-            result = res_C * dB
-        else:
-            C = (2 * mp.pi) ** s * mp.gamma(1 - s) / (2j * mp.pi)
-            B = (mp.exp(1j * mp.pi * s / 2) * hurwitz_zeta(1 - s, 1 - a, wdps)
-                 - mp.exp(-1j * mp.pi * s / 2) * hurwitz_zeta(1 - s, a, wdps))
-            result = C * B
-    with mp.workdps(dps):
-        return +result
+    phi = mp.mpf(phi)
+    _check_phi(phi)
+    a = mp.fmod(phi / (2 * mp.pi), 1)
+    if a < 0:
+        a += 1
+    if k == 0:
+        # F(s) = C(s) B(s) with C(0) = 1/(2 pi i), C'(0)/C(0) = log 2pi + gamma,
+        # B(s) = B0 + B1 s + O(s^2):
+        #   B0 = psi(a) - psi(1-a) - i pi
+        #   B1 = gamma_1(1-a) - gamma_1(a) - (i pi/2)(psi(1-a) + psi(a))
+        B0 = mp.digamma(a) - mp.digamma(1 - a) - 1j * mp.pi
+        B1 = (stieltjes_gamma1(1 - a, wdps) - stieltjes_gamma1(a, wdps)
+              - 0.5j * mp.pi * (mp.digamma(1 - a) + mp.digamma(a)))
+        return ((mp.log(2 * mp.pi) + mp.euler) * B0 + B1) / (2j * mp.pi)
+    else:
+        s = mp.mpf(-k)
+        w = 1 - s
+        C = (2 * mp.pi) ** s * mp.gamma(w) / (2j * mp.pi)
+        dC = C * (mp.log(2 * mp.pi) - mp.digamma(w))
+        e_plus = mp.exp(1j * mp.pi * s / 2)
+        e_minus = mp.exp(-1j * mp.pi * s / 2)
+        z1 = hurwitz_zeta(w, 1 - a, wdps)
+        z2 = hurwitz_zeta(w, a, wdps)
+        dz1 = hurwitz_zeta(w, 1 - a, wdps, derivative=True)
+        dz2 = hurwitz_zeta(w, a, wdps, derivative=True)
+        B = e_plus * z1 - e_minus * z2
+        # d/ds zeta(1-s, x) = -zeta_w(1-s, x)
+        dB = (0.5j * mp.pi * e_plus * z1 - e_plus * dz1
+              + 0.5j * mp.pi * e_minus * z2 + e_minus * dz2)
+        return dC * B + C * dB
 
 
 # ---------------------------------------------------------------------------
@@ -448,35 +398,28 @@ def _sici_taylor(x, dps: int):
             if abs(si_term) < eps and abs(cin_term) < eps:
                 break
             k += 1
-        si_v, cin_v = +si, +cin
-    with mp.workdps(dps):
-        return +si_v, +cin_v
+        return si, cin
 
 
-def _sici_asymptotic(x, dps: int):
+def _sici_asymptotic(x):
     """(Si(x), Ci(x)) from the auxiliary expansions
     f(x) ~ sum (-1)^k (2k)!/x^{2k+1}, g(x) ~ sum (-1)^k (2k+1)!/x^{2k+2},
     truncated at the smallest term."""
-    with mp.workdps(dps + GUARD_DPS):
-        x = mp.mpf(x)
-        f = mp.mpf(0)
-        g = mp.mpf(0)
-        term_f = 1 / x
-        term_g = 1 / (x * x)
-        k = 0
-        prev_f = mp.inf
-        while abs(term_f) < prev_f:
-            f += term_f
-            g += term_g
-            prev_f = abs(term_f)
-            k += 1
-            term_f *= -(2 * k - 1) * (2 * k) / (x * x)
-            term_g *= -(2 * k) * (2 * k + 1) / (x * x)
-        sx, cx = mp.sin(x), mp.cos(x)
-        si = mp.pi / 2 - f * cx - g * sx
-        ci = f * sx - g * cx
-    with mp.workdps(dps):
-        return +si, +ci
+    f = mp.mpf(0)
+    g = mp.mpf(0)
+    term_f = 1 / x
+    term_g = 1 / (x * x)
+    k = 0
+    prev_f = mp.inf
+    while abs(term_f) < prev_f:
+        f += term_f
+        g += term_g
+        prev_f = abs(term_f)
+        k += 1
+        term_f *= -(2 * k - 1) * (2 * k) / (x * x)
+        term_g *= -(2 * k) * (2 * k + 1) / (x * x)
+    sx, cx = mp.sin(x), mp.cos(x)
+    return mp.pi / 2 - f * cx - g * sx, f * sx - g * cx
 
 
 def _sici_crossover(dps: int) -> float:
@@ -485,60 +428,57 @@ def _sici_crossover(dps: int) -> float:
     return 2.4 * dps + 10
 
 
+@guarded
 def si(x, dps: int = 50):
     """Si(x) = int_0^x sin(t)/t dt."""
     xv = mp.mpf(x)
     if xv < 0:
-        with mp.workdps(dps):
-            return -si(-xv, dps)
+        return -si(-xv, dps)
     if xv <= _sici_crossover(dps):
         return _sici_taylor(xv, dps)[0]
-    return _sici_asymptotic(xv, dps)[0]
+    return _sici_asymptotic(xv)[0]
 
 
+@guarded
 def ci(x, dps: int = 50):
     """Ci(x) = -int_x^inf cos(t)/t dt, for x > 0."""
     xv = mp.mpf(x)
     if xv <= 0:
         raise ValueError("ci needs x > 0")
     if xv <= _sici_crossover(dps):
-        cin = _sici_taylor(xv, dps)[1]
-        with mp.workdps(dps):
-            return +(mp.euler + mp.log(xv) + cin)
-    return _sici_asymptotic(xv, dps)[1]
+        return mp.euler + mp.log(xv) + _sici_taylor(xv, dps)[1]
+    return _sici_asymptotic(xv)[1]
 
 
 # ---------------------------------------------------------------------------
 # R-series
 # ---------------------------------------------------------------------------
 
+@guarded
 def r_rot_value(t, dps: int = 50):
     """R^rot(t) numerically, for 0 < t < 2 pi.
 
     The zeta'(-m) terms decay geometrically like (t/2pi)^m, so the sum is
     truncated adaptively rather than at a fixed order.
     """
-    with mp.workdps(dps + GUARD_DPS):
-        tv = mp.mpf(t)
-        if not 0 < tv < 2 * mp.pi:
-            raise ValueError("r_rot_value needs 0 < t < 2*pi")
-        total = (mp.euler + mp.log(tv)) / tv
-        eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
-        m = 1
-        tpow = tv
-        fact = mp.mpf(1)
-        while True:
-            sign = (-1) ** ((m + 1) // 2)
-            term = zeta_prime_neg(m, dps + GUARD_DPS) * sign * tpow / fact
-            total -= term
-            if abs(term) < eps and m > 5:
-                break
-            tpow *= tv * tv
-            fact *= (m + 1) * (m + 2)
-            m += 2
-        result = total
-    with mp.workdps(dps):
-        return +result
+    tv = mp.mpf(t)
+    if not 0 < tv < 2 * mp.pi:
+        raise ValueError("r_rot_value needs 0 < t < 2*pi")
+    total = (mp.euler + mp.log(tv)) / tv
+    eps = mp.mpf(10) ** (-(dps + GUARD_DPS))
+    m = 1
+    tpow = tv
+    fact = mp.mpf(1)
+    while True:
+        sign = (-1) ** ((m + 1) // 2)
+        term = zeta_prime_neg(m, dps + GUARD_DPS) * sign * tpow / fact
+        total -= term
+        if abs(term) < eps and m > 5:
+            break
+        tpow *= tv * tv
+        fact *= (m + 1) * (m + 2)
+        m += 2
+    return total
 
 
 def gs_r_series(order: int = DEFAULT_ORDER) -> LaurentSeries:

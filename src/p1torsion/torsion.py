@@ -26,7 +26,7 @@ from typing import Optional
 import mpmath as mp
 
 from .chowring import t_tilde_series
-from .numerics import GUARD_DPS, LOG_T, ConstExpr, harmonic
+from .numerics import GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic
 from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
@@ -58,23 +58,21 @@ def _check_t_range(t):
     return tv
 
 
-def _log_sum_value(ell: int, t, dps: int):
+def _log_sum_value(ell: int, tv):
     """sum_{m=1}^{|ell+1|} sin((2m-|ell+1|) t/2)/sin(t/2) * log m."""
     L = abs(ell + 1)
-    with mp.workdps(dps):
-        tv = mp.mpf(t)
-        return mp.fsum(mp.sin((2 * m - L) * tv / 2) / mp.sin(tv / 2) * mp.log(m)
-                       for m in range(2, L + 1))
+    return mp.fsum(mp.sin((2 * m - L) * tv / 2) / mp.sin(tv / 2) * mp.log(m)
+                   for m in range(2, L + 1))
 
 
+@guarded
 def torsion_group(ell: int, t, dps: int = 50):
     """Equivariant torsion for the group element e^{tX}, 0 < t < 2 pi:
     2 R^rot(t) cos((ell+1)t/2)/sin(t/2) + the finite log-sum."""
-    with mp.workdps(dps):
-        tv = _check_t_range(t)
-        main = (2 * r_rot_value(tv, dps) * mp.cos((ell + 1) * tv / 2)
-                / mp.sin(tv / 2))
-        return +(main + _log_sum_value(ell, tv, dps))
+    tv = _check_t_range(t)
+    main = (2 * r_rot_value(tv, dps) * mp.cos((ell + 1) * tv / 2)
+            / mp.sin(tv / 2))
+    return main + _log_sum_value(ell, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +126,7 @@ def _i_class_last_index(tv, wdps: int) -> Optional[int]:
     return None
 
 
-def i_class_series(ell: int, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """cos((ell+1)t/2)/(i sin(t/2)) * sum_{m odd} H_m zeta(-m)(it)^m/m!
-    as a series with exact rational coefficients (the i's cancel)."""
-    inner = LaurentSeries(
-        {m: ConstExpr.rational(_i_class_inner_coeff(m))
-         for m in range(1, order + 3, 2)}, 0, order + 2)
-    prefactor = build_cos_scaled(ell + 1, order + 2) * build_inv_sin_half(order + 2)
-    return (prefactor * inner).truncate(order)
-
-
+@guarded
 def i_class_value(ell: int, t, dps: int = 50):
     """Numeric I-class term for |t| < 2 pi, by adaptive summation (the
     coefficients decay like (t/2pi)^m).
@@ -151,34 +140,31 @@ def i_class_value(ell: int, t, dps: int = 50):
     once and points to i_class_direct.
     """
     wdps = dps + GUARD_DPS
-    with mp.workdps(wdps):
-        tv = mp.mpf(t)
-        if not 0 < abs(tv) < 2 * mp.pi:
-            raise ValueError("i_class_value needs 0 < |t| < 2*pi")
-        last = _i_class_last_index(tv, wdps)
-        if last is None:
-            raise ConvergenceError(
-                f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
-                f"past t^{I_CLASS_MAX_INDEX} for {dps} digits; use "
-                f"i_class_direct, whose cost does not grow near 2*pi")
-        coeffs = _i_class_coeffs((last + 1) // 2, wdps)
-        t2 = tv * tv
-        tpow = tv
-        total = mp.mpf(0)
-        eps = mp.mpf(10) ** -wdps
-        j = 0
-        while True:
-            if j == len(coeffs):
-                coeffs = _i_class_coeffs(j + 8, wdps)
-            term = coeffs[j] * tpow
-            total += term
-            if abs(term) < eps and j > 2:
-                break
-            tpow *= t2
-            j += 1
-        result = (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
-    with mp.workdps(dps):
-        return +result
+    tv = mp.mpf(t)
+    if not 0 < abs(tv) < 2 * mp.pi:
+        raise ValueError("i_class_value needs 0 < |t| < 2*pi")
+    last = _i_class_last_index(tv, wdps)
+    if last is None:
+        raise ConvergenceError(
+            f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
+            f"past t^{I_CLASS_MAX_INDEX} for {dps} digits; use "
+            f"i_class_direct, whose cost does not grow near 2*pi")
+    coeffs = _i_class_coeffs((last + 1) // 2, wdps)
+    t2 = tv * tv
+    tpow = tv
+    total = mp.mpf(0)
+    eps = mp.mpf(10) ** -wdps
+    j = 0
+    while True:
+        if j == len(coeffs):
+            coeffs = _i_class_coeffs(j + 8, wdps)
+        term = coeffs[j] * tpow
+        total += term
+        if abs(term) < eps and j > 2:
+            break
+        tpow *= t2
+        j += 1
+    return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
 # working dps -> [(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, 2, ...]
@@ -199,6 +185,7 @@ def _log_sum_weights(count: int, wdps: int) -> list:
     return table
 
 
+@guarded
 def bilateral_log_sum(s, x, dps: int = 50):
     """sum_k log(1 + x/d_k)/(d_k + x) over all integers k, d_k = 2 pi k + s,
     leaving out a term with d_k = 0.
@@ -212,40 +199,37 @@ def bilateral_log_sum(s, x, dps: int = 50):
     precision (_log_sum_weights); at s = 0 bilateral_sum also keeps the
     Hurwitz values they multiply.
     """
-    with mp.workdps(dps + GUARD_DPS):
-        two_pi = 2 * mp.pi
-        sv = mp.fmod(mp.mpf(s), two_pi)
-        if sv < 0:
-            sv += two_pi
-        xv = mp.mpmathify(x)
+    two_pi = 2 * mp.pi
+    sv = mp.fmod(mp.mpf(s), two_pi)
+    if sv < 0:
+        sv += two_pi
+    xv = mp.mpmathify(x)
 
-        def term(k):
-            d = two_pi * k + sv
-            if d == 0:
-                return mp.mpf(0)
-            e = d + xv
-            return mp.log(e / d) / e
+    def term(k):
+        d = two_pi * k + sv
+        if d == 0:
+            return mp.mpf(0)
+        e = d + xv
+        return mp.log(e / d) / e
 
-        return bilateral_sum(term, _log_sum_weights, xv, abs(xv) / two_pi,
-                             sv / two_pi, dps=dps)
+    return bilateral_sum(term, _log_sum_weights, xv, abs(xv) / two_pi,
+                         sv / two_pi, dps=dps)
 
 
-def i_class_direct(ell: int, t, dps: int = 50, theta: int = 1):
+@guarded
+def i_class_direct(ell: int, t, dps: int = 50):
     """The same quantity through the defining bi-infinite sum
-    sum_{k != 0} log(1 + t theta/(2 pi k))/(i t theta + 2 k pi i),
+    sum_{k != 0} log(1 + t/(2 pi k))/(i t + 2 k pi i),
     evaluated with an exact, error-bounded tail (bilateral_log_sum at
     s = 0, where only odd powers of the expansion survive)."""
-    with mp.workdps(dps + GUARD_DPS):
-        tv = mp.mpf(t)
-        if not 0 < abs(tv * theta) < 2 * mp.pi:
-            raise ValueError("i_class_direct needs 0 < |t theta| < 2*pi")
-        # The complex sum with denominator i(t theta + 2 k pi) is -i times
-        # the real sum above; combined with the 1/i in the fixed-point
-        # prefactor cos(.)/(i sin(.)) this contributes an overall -1.
-        inner = bilateral_log_sum(0, tv * theta, dps)
-        result = -(mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * inner
-    with mp.workdps(dps):
-        return +result
+    tv = mp.mpf(t)
+    if not 0 < abs(tv) < 2 * mp.pi:
+        raise ValueError("i_class_direct needs 0 < |t| < 2*pi")
+    # The complex sum with denominator i(t + 2 k pi) is -i times the real
+    # sum above; combined with the 1/i in the fixed-point prefactor
+    # cos(.)/(i sin(.)) this contributes an overall -1.
+    inner = bilateral_log_sum(0, tv, dps)
+    return -(mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * inner
 
 
 # ---------------------------------------------------------------------------
@@ -276,64 +260,65 @@ def _oscillation_breakpoints(a: int, tv):
     return [mp.mpf(-1) + 2 * mp.mpf(j) / n for j in range(1, n)]
 
 
-def tdchs_value(ell: int, t, dps: int = 50, tol=None) -> TorsionResult:
+@guarded
+def tdchs_value(ell: int, t, dps: int = 50) -> TorsionResult:
     """Integral form of the same quantity, by quadrature."""
-    with mp.workdps(dps):
-        tv = mp.mpf(t)
-        if tv == 0 or abs(tv) >= 2 * mp.pi:
-            raise ValueError("tdchs_value needs 0 < |t| < 2*pi")
-        a = ell + 1
-        boundary = mp.cos(a * tv / 2) / mp.sin(tv / 2)
+    tv = mp.mpf(t)
+    if tv == 0 or abs(tv) >= 2 * mp.pi:
+        raise ValueError("tdchs_value needs 0 < |t| < 2*pi")
+    a = ell + 1
+    boundary = mp.cos(a * tv / 2) / mp.sin(tv / 2)
 
-        def integrand(r):
-            if abs(r) == 1:
-                return mp.mpf(0)  # removable
-            if r == 0:
-                num = 2 / tv - boundary
-            else:
-                num = r * mp.cos(a * tv * r / 2) / mp.sin(tv * r / 2) - boundary
-            return num / (tv * (1 - r * r))
+    def integrand(r):
+        if abs(r) == 1:
+            return mp.mpf(0)  # removable
+        if r == 0:
+            num = 2 / tv - boundary
+        else:
+            num = r * mp.cos(a * tv * r / 2) / mp.sin(tv * r / 2) - boundary
+        return num / (tv * (1 - r * r))
 
-        quad = integrate(IntegrandSpec(integrand, -1, 1), tol=tol, dps=dps,
-                         breakpoints=_oscillation_breakpoints(a, tv))
-        value = quad.value + (mp.log(tv ** 2) + 2 * mp.euler) * boundary / tv
-        return TorsionResult(payload=+value, ell=ell, path="quadrature",
-                             precision=dps)
+    quad = integrate(IntegrandSpec(integrand, -1, 1), dps=dps,
+                     breakpoints=_oscillation_breakpoints(a, tv))
+    value = quad.value + (mp.log(tv ** 2) + 2 * mp.euler) * boundary / tv
+    return TorsionResult(payload=value, ell=ell, path="quadrature",
+                         precision=dps)
 
 
+@guarded
 def oscillatory_integral_quad(ell: int, t, dps: int = 50):
     """int_{-1}^{1} (cos((ell+1)tr/2) - cos((ell+1)t/2)) / ((1-r^2) t sin(t/2)) dr
     by quadrature (the oscillatory half of the tdchs integral)."""
-    with mp.workdps(dps):
-        tv = _check_t_range(t)
-        a = ell + 1
-        c_end = mp.cos(a * tv / 2)
+    tv = _check_t_range(t)
+    a = ell + 1
+    c_end = mp.cos(a * tv / 2)
 
-        def integrand(r):
-            if abs(r) == 1:
-                return mp.mpf(0)
-            return ((mp.cos(a * tv * r / 2) - c_end)
-                    / ((1 - r * r) * tv * mp.sin(tv / 2)))
+    def integrand(r):
+        if abs(r) == 1:
+            return mp.mpf(0)
+        return ((mp.cos(a * tv * r / 2) - c_end)
+                / ((1 - r * r) * tv * mp.sin(tv / 2)))
 
-        return integrate(IntegrandSpec(integrand, -1, 1), dps=dps,
-                         breakpoints=_oscillation_breakpoints(a, tv)).value
+    return integrate(IntegrandSpec(integrand, -1, 1), dps=dps,
+                     breakpoints=_oscillation_breakpoints(a, tv)).value
 
 
+@guarded
 def oscillatory_integral_sici(ell: int, t, dps: int = 50):
     """The same integral in closed form through Si and Ci:
     [sin((ell+1)t/2) Si((ell+1)t)
      - cos((ell+1)t/2)(gamma - Ci((ell+1)t) + log((ell+1)t))] / (t sin(t/2))."""
-    with mp.workdps(dps):
-        tv = _check_t_range(t)
-        a = ell + 1
-        if a <= 0:
-            raise ValueError("closed form stated for ell + 1 > 0")
-        x = a * tv
-        num = (mp.sin(x / 2) * si(x, dps)
-               - mp.cos(x / 2) * (mp.euler - ci(x, dps) + mp.log(x)))
-        return +(num / (tv * mp.sin(tv / 2)))
+    tv = _check_t_range(t)
+    a = ell + 1
+    if a <= 0:
+        raise ValueError("closed form stated for ell + 1 > 0")
+    x = a * tv
+    num = (mp.sin(x / 2) * si(x, dps)
+           - mp.cos(x / 2) * (mp.euler - ci(x, dps) + mp.log(x)))
+    return num / (tv * mp.sin(tv / 2))
 
 
+@guarded
 def torsion_asymptotic(ell: int, t, dps: int = 50):
     """Large-ell asymptotic of the tdchs integral at fixed t:
     -cos((ell+1)t/2) log(ell)/(t sin(t/2))
@@ -341,13 +326,12 @@ def torsion_asymptotic(ell: int, t, dps: int = 50):
     the error is O(1/ell).  Using log(ell) rather than log(ell+1) (the two
     differ by O(1/ell)) makes the leading error term monotone enough in the
     envelope that doubling ell visibly shrinks the observed error."""
-    with mp.workdps(dps):
-        tv = _check_t_range(t)
-        a = ell + 1
-        denom = tv * mp.sin(tv / 2)
-        return +((-mp.cos(a * tv / 2) * mp.log(ell)
-                  + mp.sin(a * tv / 2) * mp.pi / 2
-                  - mp.cos(a * tv / 2) * (-mp.euler - mp.log(tv))) / denom)
+    tv = _check_t_range(t)
+    a = ell + 1
+    denom = tv * mp.sin(tv / 2)
+    return ((-mp.cos(a * tv / 2) * mp.log(ell)
+             + mp.sin(a * tv / 2) * mp.pi / 2
+             - mp.cos(a * tv / 2) * (-mp.euler - mp.log(tv))) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +379,7 @@ def torsion_infinitesimal(ell: int, order: int = DEFAULT_ORDER) -> TorsionResult
 # Two-parameter torsion
 # ---------------------------------------------------------------------------
 
+@guarded
 def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
     """R~0(phi, x) = sum_k (zeta_L'(-k, phi) + zeta_L(-k, phi) H_k/2) x^k/k!.
 
@@ -402,60 +387,56 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
     (0, 2 pi) mod 2 pi.  An input whose envelope ratio^max_terms is above
     the target 10^-(dps+5) cannot converge in max_terms terms and is
     refused before any term is summed."""
-    with mp.workdps(dps + GUARD_DPS):
-        phi = mp.fmod(mp.mpf(phi), 2 * mp.pi)
-        if phi < 0:
-            phi += 2 * mp.pi
-        x = mp.mpmathify(x)
-        eps = mp.mpf(10) ** (-(dps + 5))
-        # the Lerch coefficients grow like k!/dist(phi, 2 pi Z)^k
-        dist = min(phi, 2 * mp.pi - phi)
-        if dist == 0:
-            raise ValueError("phi must not be congruent to 0 mod 2*pi")
-        ratio = abs(x) / dist
+    phi = mp.fmod(mp.mpf(phi), 2 * mp.pi)
+    if phi < 0:
+        phi += 2 * mp.pi
+    x = mp.mpmathify(x)
+    eps = mp.mpf(10) ** (-(dps + 5))
+    # the Lerch coefficients grow like k!/dist(phi, 2 pi Z)^k
+    dist = min(phi, 2 * mp.pi - phi)
+    if dist == 0:
+        raise ValueError("phi must not be congruent to 0 mod 2*pi")
+    ratio = abs(x) / dist
 
-        def refusal(verb):
-            return ConvergenceError(
-                f"R~0 series {verb} reach {dps} digits in {max_terms} terms; "
-                f"|x|/min(phi, 2*pi - phi) = {mp.nstr(ratio, 3)}; the terms "
-                f"go like its k-th power, so it must be below "
-                f"{mp.nstr(eps ** (mp.mpf(1) / max_terms), 3)}")
+    def refusal(verb):
+        return ConvergenceError(
+            f"R~0 series {verb} reach {dps} digits in {max_terms} terms; "
+            f"|x|/min(phi, 2*pi - phi) = {mp.nstr(ratio, 3)}; the terms "
+            f"go like its k-th power, so it must be below "
+            f"{mp.nstr(eps ** (mp.mpf(1) / max_terms), 3)}")
 
-        if ratio ** max_terms > eps:
-            raise refusal("cannot")
-        total = mp.mpc(0)
-        xpow = mp.mpc(1)
-        fact = mp.mpf(1)
-        small = 0
-        for k in range(max_terms):
-            if k > 0:
-                xpow *= x
-                fact *= k
-            h = harmonic(k)
-            coeff = (lerch_prime_neg(k, phi, dps + GUARD_DPS)
-                     + lerch_neg(k, phi, dps + GUARD_DPS)
-                     * mp.mpf(h.numerator) / h.denominator / 2)
-            term = coeff * xpow / fact
-            total += term
-            small = small + 1 if abs(term) < eps else 0
-            if small >= 3 and k > 5:
-                break
-        else:
-            raise refusal("did not")
-        result = total
-    with mp.workdps(dps):
-        return +result
+    if ratio ** max_terms > eps:
+        raise refusal("cannot")
+    total = mp.mpc(0)
+    xpow = mp.mpc(1)
+    fact = mp.mpf(1)
+    small = 0
+    for k in range(max_terms):
+        if k > 0:
+            xpow *= x
+            fact *= k
+        h = harmonic(k)
+        coeff = (lerch_prime_neg(k, phi, dps + GUARD_DPS)
+                 + lerch_neg(k, phi, dps + GUARD_DPS)
+                 * mp.mpf(h.numerator) / h.denominator / 2)
+        term = coeff * xpow / fact
+        total += term
+        small = small + 1 if abs(term) < eps else 0
+        if small >= 3 and k > 5:
+            break
+    else:
+        raise refusal("did not")
+    return total
 
 
+@guarded
 def r_two_variable(theta, x, dps: int = 50):
     """R(theta, x) = R~0(theta, x) - R~0(-theta, -x)."""
-    with mp.workdps(dps + GUARD_DPS):
-        theta, x = mp.mpf(theta), mp.mpmathify(x)
-        result = r_tilde0(theta, x, dps) - r_tilde0(-theta, -x, dps)
-    with mp.workdps(dps):
-        return +result
+    theta, x = mp.mpf(theta), mp.mpmathify(x)
+    return r_tilde0(theta, x, dps) - r_tilde0(-theta, -x, dps)
 
 
+@guarded
 def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
     """The (e^{sX}, tX)-equivariant torsion, for s != 0 mod 2 pi and
     0 < |s + t| < 2 pi.
@@ -469,33 +450,30 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
     10^(3 - dps) max(1, |value|), so the routes agree at the requested
     precision.
     """
-    with mp.workdps(dps + GUARD_DPS):
-        sv, tv = mp.mpf(s), mp.mpf(t)
-        u = sv + tv
-        if not 0 < abs(u) < 2 * mp.pi:
-            raise ValueError("need 0 < |s + t| < 2*pi")
-        if mp.fmod(sv, 2 * mp.pi) == 0:
-            raise ValueError("need s != 0 mod 2*pi")
-        a = ell + 1
-        prefactor = mp.cos(a * u / 2) / mp.sin(u / 2)
-        logsum = _log_sum_value(ell, u, dps + GUARD_DPS)
+    sv, tv = mp.mpf(s), mp.mpf(t)
+    u = sv + tv
+    if not 0 < abs(u) < 2 * mp.pi:
+        raise ValueError("need 0 < |s + t| < 2*pi")
+    if mp.fmod(sv, 2 * mp.pi) == 0:
+        raise ValueError("need s != 0 mod 2*pi")
+    a = ell + 1
+    prefactor = mp.cos(a * u / 2) / mp.sin(u / 2)
+    logsum = _log_sum_value(ell, u)
 
-        if tv == 0:
-            lerch_val = torsion_group(ell, sv, dps + GUARD_DPS)
-        else:
-            R = r_two_variable(sv, 1j * tv, dps)
-            lerch_val = logsum + (prefactor / 1j) * R
-            lerch_val = mp.re(lerch_val) if abs(mp.im(lerch_val)) < mp.mpf(10) ** (-dps // 2) else lerch_val
+    if tv == 0:
+        lerch_val = torsion_group(ell, sv, dps + GUARD_DPS)
+    else:
+        R = r_two_variable(sv, 1j * tv, dps)
+        lerch_val = logsum + (prefactor / 1j) * R
+        lerch_val = mp.re(lerch_val) if abs(mp.im(lerch_val)) < mp.mpf(10) ** (-dps // 2) else lerch_val
 
-        ksum = bilateral_log_sum(sv, tv, dps)
-        direct_val = (2 * r_rot_value(u, dps + GUARD_DPS) * prefactor + logsum
-                      - prefactor * ksum)
-        if tol is None:
-            tol = mp.mpf(10) ** (3 - dps) * max(1, abs(lerch_val))
-        if abs(lerch_val - direct_val) > tol:
-            raise CancellationError(
-                "two-parameter torsion paths disagree: "
-                f"{mp.nstr(abs(lerch_val - direct_val), 5)}")
-        result = lerch_val
-    with mp.workdps(dps):
-        return +result
+    ksum = bilateral_log_sum(sv, tv, dps)
+    direct_val = (2 * r_rot_value(u, dps + GUARD_DPS) * prefactor + logsum
+                  - prefactor * ksum)
+    if tol is None:
+        tol = mp.mpf(10) ** (3 - dps) * max(1, abs(lerch_val))
+    if abs(lerch_val - direct_val) > tol:
+        raise CancellationError(
+            "two-parameter torsion paths disagree: "
+            f"{mp.nstr(abs(lerch_val - direct_val), 5)}")
+    return lerch_val

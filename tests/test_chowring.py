@@ -16,7 +16,7 @@ from p1torsion import chowring, torsion
 from p1torsion.chowring import (BaseClass, BundleClass, ch_line,
                                 check_grr_cancellation, compose_nilpotent,
                                 exp_base, fiber_integrate,
-                                grr_failure_degrees, grr_r_term, reduce,
+                                grr_failure_degrees, grr_r_term,
                                 substitute_even_series, todd_coefficients)
 from p1torsion.numerics import ConstExpr
 from p1torsion.series import LaurentSeries
@@ -101,21 +101,6 @@ class TestRelation:
     def test_incompatible_relations_rejected(self):
         with pytest.raises(ValueError):
             BundleClass.x(CAP, -1) * BundleClass.x(CAP, 1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(base_classes(), base_classes(), base_classes())
-    def test_reduce_matches_horner_oracle(self, p, q, r):
-        # reduce([p, q, r]) must equal p + q x + r x^2 with x^2 rewritten
-        got = reduce([p, q, r], CAP)
-        c1, c2 = BaseClass.c1(CAP), BaseClass.c2(CAP)
-        assert got.a == p - r * c2
-        assert got.b == q - r * c1
-
-    def test_reduce_idempotent_on_linear_classes(self):
-        p = BaseClass.c1(CAP)
-        q = BaseClass.monomial(0, 1, Fraction(3, 2), CAP)
-        red = reduce([p, q], CAP)
-        assert red.a == p and red.b == q
 
 
 class TestFiberIntegration:

@@ -8,6 +8,10 @@ imports are exempt.
 Every function the traced benchmark wraps (``SPANS`` in perfbench/spans.py)
 still exists, so a rename or a deletion fails here before it crashes a
 ``run.py --trace 1`` run.  spans.py is parsed, not imported.
+
+Every top-level function of the package is called from inside src, unless
+it is an entry point that the benchmark's workloads call or is listed as
+kept; so API that only tests call shows up here.
 """
 
 import ast
@@ -125,3 +129,70 @@ def test_traced_spans_resolve():
             missing.append(f"{module}.{attr}")
     assert not missing, "perfbench/spans.py wraps missing names: " + \
         ", ".join(missing)
+
+
+
+# Top-level functions that no module under src calls but
+# perfbench/workloads.py does.  cli.main, the acceptance checks and the
+# other public functions are called inside src, so they need no entry.
+ENTRY_POINTS = {"torsion.i_class_direct", "torsion.i_class_value",
+                "torsion.oscillatory_integral_sici"}
+# Kept although only tests call them: the quadrature route of the Si/Ci
+# closed form, and the fixed-point term of the S-current pairing.
+KEPT = {"torsion.oscillatory_integral_quad", "scurrent.fixed_point_functional"}
+
+
+def _referenced(node, skip=None):
+    """Names loaded or accessed as attributes under node, and its string
+    constants (getattr lookups), leaving out the name skip."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            name = sub.value
+        else:
+            continue
+        if name != skip:
+            yield name
+
+
+def _uncalled_functions(sources):
+    """module.function for every top-level function in sources (module name
+    -> source text) whose name no module refers to outside the function's
+    own body."""
+    defined, used = set(), set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = node.name
+                defined.add((module, own))
+            used.update(_referenced(node, skip=own))
+    return {f"{module}.{name}" for module, name in defined
+            if name not in used}
+
+
+def test_every_uncalled_function_is_an_entry_point():
+    uncalled = _uncalled_functions({p.stem: p.read_text() for p in MODULES})
+    stray = uncalled - ENTRY_POINTS - KEPT
+    assert not stray, ("functions nothing under src calls; delete them or "
+                       "list them as entry points: "
+                       + ", ".join(sorted(stray)))
+    stale = (ENTRY_POINTS | KEPT) - uncalled
+    assert not stale, "listed but called under src: " + ", ".join(stale)
+
+
+def test_entry_points_are_called_by_the_benchmark():
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    called = set(_referenced(tree)) | {attr for _, attr, _ in _spans()}
+    missing = [name for name in ENTRY_POINTS
+               if name.partition(".")[2] not in called]
+    assert not missing, "entry points nothing calls: " + ", ".join(missing)
+
+
+def test_uncalled_check_sees_a_stray_function():
+    source = ("def used():\n    return 1\n\n"
+              "def stray():\n    return stray() + used()\n")
+    assert _uncalled_functions({"m": source}) == {"m.stray"}

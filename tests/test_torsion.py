@@ -70,14 +70,6 @@ class TestGroupTorsion:
 
 
 class TestIClass:
-    @pytest.mark.parametrize("ell", [-3, 0, 2])
-    def test_series_matches_value(self, ell):
-        mp.dps = 40
-        t = mp.mpf("0.5")
-        series_val = torsion.i_class_series(ell, order=40).evaluate(t, dps=40)
-        value = torsion.i_class_value(ell, t, dps=40)
-        assert abs(series_val - value) < mp.mpf(10) ** -20
-
     @pytest.mark.parametrize("t", ["0.6", "1.7"])
     def test_value_matches_direct_bilateral_sum(self, t):
         mp.dps = 40
@@ -89,10 +81,8 @@ class TestIClass:
 
     def test_prefactor_parity(self):
         # cos((ell+1)t/2) is even in ell + 1
-        s1 = torsion.i_class_series(2, order=12)
-        s2 = torsion.i_class_series(-4, order=12)
-        for d in range(0, 13):
-            assert s1.coeff(d) == s2.coeff(d)
+        for f in (torsion.i_class_value, torsion.i_class_direct):
+            assert f(2, "0.9", dps=30) == f(-4, "0.9", dps=30)
 
     def test_direct_domain_error(self):
         with pytest.raises(ValueError):
