@@ -150,18 +150,6 @@ def s_pairing_star_variant(profile: TestProfile, t=None, order: int = 12,
     return series.evaluate(t, dps=dps)
 
 
-@guarded
-def fixed_point_functional(profile: TestProfile, t, eta_t: bool = True,
-                           dps: int = 50):
-    """The fixed-point integral int_{M_X} eta (c_top,tX^{-1})'(TM):
-    2g~(t)/t^2 in the eta_t convention, else 2g~(1)/t^2."""
-    tv = mp.mpf(t)
-    if tv == 0:
-        raise ValueError("fixed_point_functional needs t != 0")
-    g = profile.value(tv) if eta_t else profile.value(1)
-    return 2 * g / tv ** 2
-
-
 def _symmetrize(f: Callable) -> Callable:
     return lambda u: (f(u) + f(-u)) / 2
 

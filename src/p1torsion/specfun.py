@@ -122,12 +122,11 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
 @lru_cache(maxsize=None)
 def _em_coeff_fixed(i: int, bits: int) -> int:
     """B_{2i} (2 pi)^{2i}/(2i)! = (-1)^{i+1} 2 zeta(2i), as a fixed-point
-    integer with scale 2^bits."""
-    b = bernoulli(2 * i)
+    integer with scale 2^bits, taken from zeta(2i) itself: no Bernoulli
+    number is built, and zeta(2i) - 1 < 2^{1-2i} comes from a few powers
+    once i is moderate."""
     with mp.workprec(bits + 10):
-        value = (mp.mpf(b.numerator) * (2 * mp.pi) ** (2 * i)
-                 / (b.denominator * math.factorial(2 * i)))
-        return int(mp.ldexp(value, bits))
+        return (-1) ** (i + 1) * int(mp.ldexp(2 * mp.zeta(2 * i), bits))
 
 
 def _em_shift(a: float, ss, wdps: int) -> int:

@@ -27,7 +27,8 @@ import mpmath as mp
 
 from .chowring import t_tilde_series
 from .numerics import GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic
-from .quadrature import IntegrandSpec, bilateral_sum, integrate
+from .quadrature import (IntegrandSpec, bilateral_sum, integrate,
+                         odd_series_fixed)
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
 from .specfun import (ci, lerch_neg, lerch_prime_neg, r_rot_value, si,
@@ -92,18 +93,24 @@ def _i_class_inner_coeff(m: int) -> Fraction:
     return harmonic(m) * zeta_neg(m) * sign / math.factorial(m)
 
 
-# working dps -> [c_1, c_3, c_5, ...], c_m = _i_class_inner_coeff(m) as mpf
+# working dps -> [w_1, w_3, w_5, ...], w_m = c_m (2 pi)^m with
+# c_m = _i_class_inner_coeff(m), as integers with scale 2^(prec + 20)
 _I_CLASS_COEFFS: dict[int, list] = {}
 
 
 def _i_class_coeffs(count: int, wdps: int) -> list:
-    """The first ``count`` odd-index coefficients of i_class_value at wdps
-    digits, from a table that grows on demand."""
+    """The first ``count`` odd-index weights of i_class_value at wdps
+    digits, from a table that grows on demand.  |w_m| = 2 H_m zeta(m+1)/(2 pi)
+    is O(1), the scale the fixed-point Horner sum needs."""
     table = _I_CLASS_COEFFS.setdefault(wdps, [])
     with mp.workdps(wdps):
+        bits = mp.mp.prec + 20
+        two_pi = 2 * mp.pi
         for j in range(len(table), count):
-            c = _i_class_inner_coeff(2 * j + 1)
-            table.append(mp.mpf(c.numerator) / c.denominator)
+            m = 2 * j + 1
+            c = _i_class_inner_coeff(m)
+            table.append(int(mp.ldexp(mp.mpf(c.numerator) / c.denominator
+                                      * two_pi ** m, bits)))
     return table
 
 
@@ -112,8 +119,8 @@ def _i_class_last_index(tv, wdps: int) -> Optional[int]:
     10^-wdps, or None past I_CLASS_MAX_INDEX.
 
     |H_m zeta(-m)/m!| = 2 H_m zeta(m+1)/(2 pi)^{m+1} with
-    zeta(m+1) <= 1 + 2^-m for m >= 7, so up to rounding the m found here is
-    at least the one the summation stops at."""
+    zeta(m+1) <= 1 + 2^-m for m >= 7, so up to rounding the term at the m
+    found here, where the summation stops, is below 10^-wdps."""
     log_ratio = math.log(float(abs(tv)) / (2 * math.pi))
     log_eps = -wdps * math.log(10)
     h = 1.0
@@ -128,16 +135,16 @@ def _i_class_last_index(tv, wdps: int) -> Optional[int]:
 
 @guarded
 def i_class_value(ell: int, t, dps: int = 50):
-    """Numeric I-class term for |t| < 2 pi, by adaptive summation (the
+    """Numeric I-class term for |t| < 2 pi, by its power series (the
     coefficients decay like (t/2pi)^m).
 
     The coefficients c_m = H_m zeta(-m) (-1)^{(m-1)/2}/m! come from exact
-    Bernoulli numbers and are kept as mpf in a table per working precision
-    dps + GUARD_DPS, grown on demand; a call only forms c_m t^m.  The sum
-    stops at the first odd m > 5 whose term is below 10^-(dps + GUARD_DPS).
-    The number of terms that takes is computed first: past index
-    I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError at
-    once and points to i_class_direct.
+    Bernoulli numbers.  They are kept as c_m (2 pi)^m in fixed point, in a
+    table per working precision dps + GUARD_DPS grown on demand, and the
+    series in u = t/(2 pi), |u| < 1, is summed by quadrature.odd_series_fixed
+    up to the index _i_class_last_index finds, where the terms fall below
+    10^-(dps + GUARD_DPS).  Past index I_CLASS_MAX_INDEX (t near 2 pi) the
+    call raises ConvergenceError at once and points to i_class_direct.
     """
     wdps = dps + GUARD_DPS
     tv = mp.mpf(t)
@@ -149,21 +156,11 @@ def i_class_value(ell: int, t, dps: int = 50):
             f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
             f"past t^{I_CLASS_MAX_INDEX} for {dps} digits; use "
             f"i_class_direct, whose cost does not grow near 2*pi")
-    coeffs = _i_class_coeffs((last + 1) // 2, wdps)
-    t2 = tv * tv
-    tpow = tv
-    total = mp.mpf(0)
-    eps = mp.mpf(10) ** -wdps
-    j = 0
-    while True:
-        if j == len(coeffs):
-            coeffs = _i_class_coeffs(j + 8, wdps)
-        term = coeffs[j] * tpow
-        total += term
-        if abs(term) < eps and j > 2:
-            break
-        tpow *= t2
-        j += 1
+    count = (last + 1) // 2
+    bits = mp.mp.prec + 20
+    u = int(mp.ldexp(tv / (2 * mp.pi), bits))
+    total = mp.ldexp(odd_series_fixed(_i_class_coeffs(count, wdps)[:count],
+                                      u, bits), -bits)
     return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
@@ -196,8 +193,8 @@ def bilateral_log_sum(s, x, dps: int = 50):
     |k| <= K directly and takes the rest from this expansion, in Hurwitz
     zeta values at shift s/(2 pi), to a bound below 10^-(dps + GUARD_DPS).
     The weights H_n/(2 pi)^{n+1} do not depend on s or x and are kept per
-    precision (_log_sum_weights); at s = 0 bilateral_sum also keeps the
-    Hurwitz values they multiply.
+    precision (_log_sum_weights); at s = 0 bilateral_sum also keeps their
+    products with the Hurwitz values, in fixed point.
     """
     two_pi = 2 * mp.pi
     sv = mp.fmod(mp.mpf(s), two_pi)
@@ -221,7 +218,14 @@ def i_class_direct(ell: int, t, dps: int = 50):
     """The same quantity through the defining bi-infinite sum
     sum_{k != 0} log(1 + t/(2 pi k))/(i t + 2 k pi i),
     evaluated with an exact, error-bounded tail (bilateral_log_sum at
-    s = 0, where only odd powers of the expansion survive)."""
+    s = 0, where only odd powers of the expansion survive).
+
+    The terms k = +-1 stay direct logarithms; the tail over |k| >= 2 is
+    sum_{n odd} 2 H_n zeta(n+1, 2) t^n/(2 pi)^{n+1}.  The two routes share
+    the harmonic numbers H_n and the fixed-point Horner sum
+    (quadrature.odd_series_fixed), but not their zeta values: this one
+    takes zeta(n+1, 2) from Euler-Maclaurin with weights 2 zeta(2i) from
+    mpmath, i_class_value takes zeta(-m) from exact Bernoulli numbers."""
     tv = mp.mpf(t)
     if not 0 < abs(tv) < 2 * mp.pi:
         raise ValueError("i_class_direct needs 0 < |t| < 2*pi")

@@ -12,10 +12,16 @@ still exists, so a rename or a deletion fails here before it crashes a
 Every top-level function of the package is called from inside src, unless
 it is an entry point that the benchmark's workloads call or is listed as
 kept; so API that only tests call shows up here.
+
+Importing the package builds none of the tables its numeric routes fill on
+first use, so that work stays out of the benchmark's setup_s.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,9 +143,9 @@ def test_traced_spans_resolve():
 # other public functions are called inside src, so they need no entry.
 ENTRY_POINTS = {"torsion.i_class_direct", "torsion.i_class_value",
                 "torsion.oscillatory_integral_sici"}
-# Kept although only tests call them: the quadrature route of the Si/Ci
-# closed form, and the fixed-point term of the S-current pairing.
-KEPT = {"torsion.oscillatory_integral_quad", "scurrent.fixed_point_functional"}
+# Kept although only tests call it: the quadrature route of the Si/Ci
+# closed form.
+KEPT = {"torsion.oscillatory_integral_quad"}
 
 
 def _referenced(node, skip=None):
@@ -196,3 +202,29 @@ def test_uncalled_check_sees_a_stray_function():
     source = ("def used():\n    return 1\n\n"
               "def stray():\n    return stray() + used()\n")
     assert _uncalled_functions({"m": source}) == {"m.stray"}
+
+
+# The tables of the I-class routes and of bilateral_sum's tail, each built
+# on first use; name -> expression for its size
+TABLES = {"quadrature._ODD_TAILS": "len(quadrature._ODD_TAILS)",
+          "torsion._I_CLASS_COEFFS": "len(torsion._I_CLASS_COEFFS)",
+          "torsion._LOG_SUM_WEIGHTS": "len(torsion._LOG_SUM_WEIGHTS)",
+          "specfun._em_coeff_fixed":
+              "specfun._em_coeff_fixed.cache_info().currsize"}
+
+
+def test_import_builds_no_table():
+    script = (
+        "import importlib\n"
+        f"for name in {[p.stem for p in MODULES]!r}:\n"
+        "    importlib.import_module('p1torsion.' + name)\n"
+        "from p1torsion import quadrature, specfun, torsion\n"
+        + "".join(f"print({name!r}, {size})\n"
+                  for name, size in TABLES.items()))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    sizes = dict(line.split() for line in out.splitlines())
+    assert sizes.keys() == TABLES.keys()
+    built = [name for name, size in sizes.items() if size != "0"]
+    assert not built, "tables built at import: " + ", ".join(built)

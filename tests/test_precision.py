@@ -7,8 +7,9 @@ global precision of dps + 20, to 10^-dps max(1, |v|): the guard digits of
 numerics.guarded must absorb both the rounding of its arguments and that of
 its own arithmetic, and no argument may be read at the caller's 15 digits.
 Each case runs at dps 50, and at dps 100 where that call takes under a
-second.  check_defining_property is left out: its residuals depend on dps
-through its finite-difference step.
+second; the I-class routes and bilateral_sum also run at dps 200.
+check_defining_property is left out: its residuals depend on dps through
+its finite-difference step.
 """
 
 import pytest
@@ -62,12 +63,12 @@ CASES = {
     "integrate": (lambda dps: quadrature.integrate(IntegrandSpec(
         lambda r: mp.exp(T * r) / (1 + r * r), 0, T), dps=dps).value,
         (50, 100)),
-    "bilateral_sum": (_lorentz_sum, (50, 100)),
+    "bilateral_sum": (_lorentz_sum, (50, 100, 200)),
     "torsion_group": (lambda dps: torsion.torsion_group(2, T, dps), (50, 100)),
     "i_class_value": (lambda dps: torsion.i_class_value(1, T, dps),
-                      (50, 100)),
+                      (50, 100, 200)),
     "i_class_direct": (lambda dps: torsion.i_class_direct(1, T, dps),
-                       (50, 100)),
+                       (50, 100, 200)),
     "bilateral_log_sum": (lambda dps: torsion.bilateral_log_sum(T, T, dps),
                           (50, 100)),
     "tdchs_value": (lambda dps: torsion.tdchs_value(2, T, dps).payload,
@@ -89,9 +90,6 @@ CASES = {
         lambda dps: scurrent.s_pairing_series(PROFILE, T, dps), (50, 100)),
     "s_pairing_star_variant": (
         lambda dps: scurrent.s_pairing_star_variant(PROFILE, T, dps=dps),
-        (50, 100)),
-    "fixed_point_functional": (
-        lambda dps: scurrent.fixed_point_functional(PROFILE, T, dps=dps),
         (50, 100)),
     "check_scaling": (
         lambda dps: scurrent.check_scaling(PROFILE, T, T, dps), (50, 100)),

@@ -68,14 +68,29 @@ class TestBilateralSum:
         assert abs(got - want) / a < mp.mpf(10) ** -38
 
     def test_head_grows_with_rate(self):
-        # at a = 30 the expansion needs |k| > 30: the head grows to
-        # |k| <= 599 to keep q = 1/20, and its tail starts at zeta(., 600)
+        # at a = 30 the expansion needs |k| > 30: at shift 0 the head grows
+        # to |k| <= 59 to keep q = 1/2, and its tail starts at zeta(., 60)
         mp.dps = 40
         a = mp.mpf(30)
-        got = bilateral_sum(lambda k: a / (k ** 2 + a ** 2), lorentz_weights,
-                            a, a, dps=40)
+        calls = []
+
+        def term(k):
+            calls.append(k)
+            return a / (k ** 2 + a ** 2)
+
+        got = bilateral_sum(term, lorentz_weights, a, a, dps=40)
+        assert sorted(calls) == list(range(-59, 60))
         want = mp.pi * mp.coth(mp.pi * a)
         assert abs(got - want) / a < mp.mpf(10) ** -38
+
+    def test_capped_head_at_shift_zero(self):
+        # at a = 1200 the head stops at MAX_HEAD_K = 2000 with q = 0.6 > 1/2,
+        # past the fixed-point table: the call runs the Hurwitz pass itself
+        mp.dps = 40
+        a = mp.mpf(1200)
+        got = bilateral_sum(lambda k: a / (k ** 2 + a ** 2), lorentz_weights,
+                            a, a, dps=30)
+        assert abs(got - mp.pi * mp.coth(mp.pi * a)) / a < mp.mpf(10) ** -29
 
     def test_odd_part_cancels(self):
         # a term with a 1/k piece: the two half-line tails cancel it
@@ -105,14 +120,23 @@ class TestBilateralSum:
             assert abs(got - want) < mp.mpf(10) ** -98
 
     def test_head_is_a_direct_sum_of_41_terms(self):
-        calls = []
+        # a shifted sum keeps the head |k| <= 20, q <= 1/20; at shift 0 the
+        # same rate 1 takes |k| <= 1, q = 1/2, and the tail does the rest
+        for shift, head in ((mp.mpf("0.25"), range(-20, 21)),
+                            (0, range(-1, 2))):
+            calls = []
 
-        def term(k):
-            calls.append(k)
-            return 1 / (mp.mpf(k) ** 2 + 1)
+            def term(k):
+                calls.append(k)
+                return 1 / ((k + shift) ** 2 + 1)
 
-        bilateral_sum(term, lorentz_weights, 1, 1, dps=50)
-        assert sorted(calls) == list(range(-20, 21))
+            got = bilateral_sum(term, lorentz_weights, 1, 1, shift=shift,
+                                dps=50)
+            assert sorted(calls) == list(head)
+            if shift == 0:
+                with mp.workdps(60):
+                    want = mp.pi * mp.coth(mp.pi)
+                    assert abs(got - want) < mp.mpf(10) ** -49
 
     def test_refuses_when_tail_ratio_reaches_one(self):
         # 1/(k^2 + b^2) expands in 1/k only for |k| > b, beyond the

@@ -143,16 +143,3 @@ class TestLicensing:
     def test_integral_needs_nonzero_t(self):
         with pytest.raises(ValueError):
             scurrent.s_pairing_integral(Profile.from_string("1"), 0)
-
-
-class TestFixedPointFunctional:
-    def test_eta_t_convention(self):
-        mp.dps = 30
-        profile = Profile.from_string("r^2")
-        t = mp.mpf("0.5")
-        assert abs(scurrent.fixed_point_functional(profile, t, eta_t=True,
-                                                   dps=30) - 2) \
-            < mp.mpf(10) ** -25
-        assert abs(scurrent.fixed_point_functional(profile, t, eta_t=False,
-                                                   dps=30) - 2 / t ** 2) \
-            < mp.mpf(10) ** -25

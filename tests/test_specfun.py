@@ -80,6 +80,18 @@ class TestHurwitz:
                 want = mp.zeta(s, mp.mpf(a))
                 assert abs(got[s] - want) <= mp.mpf(10) ** -dps * want
 
+    @pytest.mark.parametrize("bits", [200, 720])
+    def test_em_weights_match_the_bernoulli_form(self, bits):
+        # (-1)^{i+1} 2 zeta(2i) against B_{2i} (2 pi)^{2i}/(2i)!, the form
+        # the weights took from exact Bernoulli numbers
+        for i in range(1, 61):
+            b = specfun.bernoulli(2 * i)
+            with mp.workprec(bits + 10):
+                value = (mp.mpf(b.numerator) * (2 * mp.pi) ** (2 * i)
+                         / (b.denominator * math.factorial(2 * i)))
+                want = int(mp.ldexp(value, bits))
+            assert abs(specfun._em_coeff_fixed(i, bits) - want) <= 2
+
     def test_values_need_integer_s_above_one(self):
         for ss in ([], [1, 2], [2.5]):
             with pytest.raises(ValueError):

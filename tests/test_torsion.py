@@ -84,6 +84,16 @@ class TestIClass:
         for f in (torsion.i_class_value, torsion.i_class_direct):
             assert f(2, "0.9", dps=30) == f(-4, "0.9", dps=30)
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("t", ["0.2", "3.1", "4.9"])
+    def test_even_in_t(self, t, dps):
+        # at -t the fixed-point Horner argument is negative, where >> floors
+        mp.dps = 15
+        for f in (torsion.i_class_value, torsion.i_class_direct):
+            a, b = f(3, t, dps=dps), f(3, "-" + t, dps=dps)
+            with mp.workdps(dps + 20):
+                assert abs(a - b) <= mp.mpf(10) ** -dps * max(1, abs(a))
+
     def test_direct_domain_error(self):
         with pytest.raises(ValueError):
             torsion.i_class_direct(0, 7.0, dps=30)
