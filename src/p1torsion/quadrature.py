@@ -11,9 +11,9 @@ explicit geometric bound falls below the working precision.  For the
 torsion sums the expansion is
 log(1 + t/d)/(d + t) = sum_{n>=1} (-1)^{n+1} H_n t^n d^{-n-1}, |d| > |t|.
 At shift 0 the head shrinks to K = 1 where the rate allows, and the tail is
-an odd power series whose weights are kept in a table; odd_series_fixed()
-sums it by Horner in Python integers, the fixed-point idiom of
-specfun.hurwitz_zeta_values.
+an odd power series whose weights are kept in a table; even_series_fixed()
+sums it, divided by its variable, by Horner in Python integers, the
+fixed-point idiom of specfun.hurwitz_zeta_values.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     With D = K + 1 - |shift| and q = rate/D, both half-lines give
     sum_{|k|>K} |k + shift|^{-n-1} <= 2 D^{-n-1} (1 + D/n), so dropping
     n > N costs at most (2/D) sum_{n>N} (n + D) q^n, a geometric series.
-    N is the least count that brings this below 10^-(dps + GUARD_DPS).
+    N is the least count that brings this below 10^-(dps + GUARD_DPS) q.
+    Every tail term carries a factor x, so the factor q keeps the tail's
+    relative precision as x goes to 0, where N falls to 1.
     Raises AccuracyError when q >= 1, where the expansion cannot be summed.
 
     At any shift other than 0, K = 20 unless a large rate or shift needs
@@ -122,8 +124,9 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     (weights, A, s, working precision), long enough for q = HEAD_Q, and kept
     as integers with scale 2^(prec + 20); ``weights`` is part of the key, so
     one expansion should always pass the same function.  A call sums its
-    head and evaluates the tail by odd_series_fixed, whose rounding stays
-    below 2^-prec.  A complex x, or a head capped at MAX_HEAD_K with
+    head and evaluates the tail as u times even_series_fixed at u, whose
+    rounding stays below 2^-prec: the tail keeps its relative precision as
+    x goes to 0.  A complex x, or a head capped at MAX_HEAD_K with
     q > HEAD_Q, takes the per-call Hurwitz pass instead.
     """
     wdps = dps + GUARD_DPS
@@ -147,8 +150,9 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
         e = math.frexp(float(abs(x) / rate))[1] - 1  # s = 2^e
         bits = mp.mp.prec + 20
         table = _odd_tail(weights, K + 1, e, wdps)[:(n_terms + 1) // 2]
-        u = int(mp.ldexp(x / (K + 1), bits - e))
-        return head + mp.ldexp(odd_series_fixed(table, u, bits), -bits)
+        u = x / mp.ldexp(K + 1, e)
+        even = even_series_fixed(table, int(mp.ldexp(u, bits)), bits)
+        return head + u * mp.ldexp(even, -bits)
     a = weights(n_terms, wdps)
     ss = range(2, n_terms + 2)
     right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
@@ -160,23 +164,26 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     return head + tail
 
 
-def odd_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
-    """sum_j weights[j] u^{2j+1} by Horner in u^2, in fixed point: every
-    number, the result too, is an integer with scale 2^bits.
+def even_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
+    """sum_j weights[j] u^{2j} by Horner in u^2, in fixed point: every
+    number, the result too, is an integer with scale 2^bits.  An odd series
+    sum_j weights[j] v^{2j+1} is v times this sum at u = v; the caller
+    multiplies by v in mpf, so the result keeps its relative precision
+    however small v is.
 
-    The square of u is kept exact, so each of the N steps, the last
-    multiplication by u included, floors once and errs by less than one
-    unit of 2^-bits.  For |u| <= 1 no step enlarges an earlier error, and
-    the result is within N units of the sum of the given weights.  With
-    bits = prec + 20 that is below 2^-prec for any N < 2^20; the sums here
-    take at most about 2000 steps.  Python's >> floors, also below zero;
-    the bound does not need the sign of u."""
+    The square of u is kept exact, so each of the N - 1 steps after the
+    first floors once and errs by less than one unit of 2^-bits.  For
+    |u| <= 1 no step enlarges an earlier error, and the result is within
+    N units of the sum of the given weights.  With bits = prec + 20 that is
+    below 2^-prec for any N < 2^20; the sums here take at most about 2000
+    steps.  Python's >> floors, also below zero; the bound does not need
+    the sign of u."""
     y = u * u
     two_bits = 2 * bits
     acc = 0
     for w in reversed(weights):
         acc = (acc * y >> two_bits) + w
-    return acc * u >> bits
+    return acc
 
 
 # (weights, K + 1, log2 s, working dps) -> [w_1, w_3, w_5, ...] with scale
@@ -205,7 +212,8 @@ def _odd_tail(weights: Weights, a: int, e: int, wdps: int) -> list:
 
 
 def _tail_terms(D: float, q: float, wdps: int) -> int:
-    """The least N with (2/D) sum_{n>N} (n + D) q^n <= 10^-wdps, 0 <= q < 1.
+    """The least N with (2/D) sum_{n>N} (n + D) q^n <= 10^-wdps q,
+    0 <= q < 1.
 
     sum_{n>N} q^n = q^{N+1}/(1-q) and
     sum_{n>N} n q^n = q^{N+1} ((N+1) - N q)/(1-q)^2; compared in logs.
@@ -216,7 +224,7 @@ def _tail_terms(D: float, q: float, wdps: int) -> int:
     log_eps = -wdps * math.log(10)
 
     def above(N):
-        return (math.log(2 / D) + (N + 1) * math.log(q)
+        return (math.log(2 / D) + N * math.log(q)
                 + math.log(((N + 1) - N * q) / (1 - q) ** 2 + D / (1 - q))
                 > log_eps)
 

@@ -28,7 +28,7 @@ import mpmath as mp
 from .chowring import t_tilde_series
 from .numerics import GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic
 from .quadrature import (IntegrandSpec, bilateral_sum, integrate,
-                         odd_series_fixed)
+                         even_series_fixed)
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
 from .specfun import (ci, lerch_neg, lerch_prime_neg, r_rot_value, si,
@@ -140,11 +140,13 @@ def i_class_value(ell: int, t, dps: int = 50):
 
     The coefficients c_m = H_m zeta(-m) (-1)^{(m-1)/2}/m! come from exact
     Bernoulli numbers.  They are kept as c_m (2 pi)^m in fixed point, in a
-    table per working precision dps + GUARD_DPS grown on demand, and the
-    series in u = t/(2 pi), |u| < 1, is summed by quadrature.odd_series_fixed
-    up to the index _i_class_last_index finds, where the terms fall below
-    10^-(dps + GUARD_DPS).  Past index I_CLASS_MAX_INDEX (t near 2 pi) the
-    call raises ConvergenceError at once and points to i_class_direct.
+    table per working precision dps + GUARD_DPS grown on demand.  The odd
+    series in u = t/(2 pi), |u| < 1, is u times an even one, which
+    quadrature.even_series_fixed sums up to the index _i_class_last_index
+    finds, where the terms fall below 10^-(dps + GUARD_DPS); the factor u
+    stays in mpf, so small t keeps its relative precision.  Past index
+    I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError at once
+    and points to i_class_direct.
     """
     wdps = dps + GUARD_DPS
     tv = mp.mpf(t)
@@ -158,9 +160,10 @@ def i_class_value(ell: int, t, dps: int = 50):
             f"i_class_direct, whose cost does not grow near 2*pi")
     count = (last + 1) // 2
     bits = mp.mp.prec + 20
-    u = int(mp.ldexp(tv / (2 * mp.pi), bits))
-    total = mp.ldexp(odd_series_fixed(_i_class_coeffs(count, wdps)[:count],
-                                      u, bits), -bits)
+    u = tv / (2 * mp.pi)
+    even = even_series_fixed(_i_class_coeffs(count, wdps)[:count],
+                             int(mp.ldexp(u, bits)), bits)
+    total = u * mp.ldexp(even, -bits)
     return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
@@ -201,12 +204,15 @@ def bilateral_log_sum(s, x, dps: int = 50):
     if sv < 0:
         sv += two_pi
     xv = mp.mpmathify(x)
+    x_far = mp.ldexp(abs(xv), 20)
 
     def term(k):
         d = two_pi * k + sv
         if d == 0:
             return mp.mpf(0)
         e = d + xv
+        if abs(d) > x_far:  # e/d - 1 would keep too few digits of x/d
+            return mp.log1p(xv / d) / e
         return mp.log(e / d) / e
 
     return bilateral_sum(term, _log_sum_weights, xv, abs(xv) / two_pi,
@@ -223,7 +229,7 @@ def i_class_direct(ell: int, t, dps: int = 50):
     The terms k = +-1 stay direct logarithms; the tail over |k| >= 2 is
     sum_{n odd} 2 H_n zeta(n+1, 2) t^n/(2 pi)^{n+1}.  The two routes share
     the harmonic numbers H_n and the fixed-point Horner sum
-    (quadrature.odd_series_fixed), but not their zeta values: this one
+    (quadrature.even_series_fixed), but not their zeta values: this one
     takes zeta(n+1, 2) from Euler-Maclaurin with weights 2 zeta(2i) from
     mpmath, i_class_value takes zeta(-m) from exact Bernoulli numbers."""
     tv = mp.mpf(t)

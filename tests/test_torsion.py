@@ -94,6 +94,23 @@ class TestIClass:
             with mp.workdps(dps + 20):
                 assert abs(a - b) <= mp.mpf(10) ** -dps * max(1, abs(a))
 
+    @pytest.mark.parametrize("route", ["i_class_value", "i_class_direct"])
+    @pytest.mark.parametrize("t", ["1e-20", "-1e-20", "1e-80"])
+    def test_small_t_keeps_relative_precision(self, route, t):
+        # the inner sum is O(t) and the prefactor O(1/t): an error bounded
+        # only in absolute terms would show here.  Reference: the power
+        # series in mpf, whose terms past t^9 are below 10^-200 relative
+        mp.dps = 15
+        ell = 2
+        got = getattr(torsion, route)(ell, t, dps=50)
+        with mp.workdps(70):
+            tv = mp.mpf(t)
+            inner = mp.fsum(mp.mpf(c.numerator) / c.denominator * tv ** m
+                            for m in range(1, 10, 2)
+                            for c in [torsion._i_class_inner_coeff(m)])
+            want = mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2) * inner
+            assert abs(got - want) <= mp.mpf(10) ** -50 * abs(want)
+
     def test_direct_domain_error(self):
         with pytest.raises(ValueError):
             torsion.i_class_direct(0, 7.0, dps=30)
@@ -122,7 +139,7 @@ def _nsum_log_sum(s, t, dps):
 
         def term(k):
             d = 2 * mp.pi * k + sv
-            return mp.mpf(0) if d == 0 else mp.log(1 + tv / d) / (d + tv)
+            return mp.mpf(0) if d == 0 else mp.log1p(tv / d) / (d + tv)
 
         return term(0) + mp.nsum(lambda k: term(k) + term(-k), [1, mp.inf])
 
@@ -154,6 +171,16 @@ class TestBilateralLogSum:
         with mp.workdps(dps + 20):
             want = _nsum_log_sum(s, t, dps + 20)
             assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    @pytest.mark.parametrize("s", ["0", "2.1"])
+    def test_small_x_keeps_relative_precision(self, s):
+        # the sum is O(x): its tail cut and its head logarithms must hold
+        # 50 digits relative to it, not 10^-50 absolute
+        mp.dps = 15
+        got = torsion.bilateral_log_sum(s, "1e-30", dps=50)
+        with mp.workdps(70):
+            want = _nsum_log_sum(s, "1e-30", 70)
+            assert abs(got - want) <= mp.mpf(10) ** -50 * abs(want)
 
     def test_shift_is_reduced_mod_two_pi(self):
         mp.dps = 15
