@@ -18,6 +18,11 @@ numeric entry point of the package takes the number of digits ``dps`` it
 returns, works at dps + GUARD_DPS and rounds its result to dps.  Only the
 tables keyed on a working precision and the Si/Ci Taylor series (which needs
 more digits as its argument grows) set a precision of their own.
+
+Two small kernels serve the numeric routes of specfun, quadrature and
+torsion: even_series_fixed, the fixed-point Horner sum of an even power
+series, and least_index, the doubling-and-bisection search for the least
+index at which a monotone stopping bound holds.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import mpmath as mp
 
@@ -76,6 +81,63 @@ def _rounded(value):
             f.name: _rounded(getattr(value, f.name))
             for f in dataclasses.fields(value)})
     return value
+
+
+# ---------------------------------------------------------------------------
+# Kernels shared by the numeric routes
+# ---------------------------------------------------------------------------
+
+def even_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
+    """sum_j weights[j] u^{2j} by Horner in u^2, in fixed point: every
+    number, the result too, is an integer with scale 2^bits.  An odd series
+    sum_j weights[j] v^{2j+1} is v times this sum at u = v; the caller
+    multiplies by v in mpf, so the result keeps its relative precision
+    however small v is.
+
+    The square of u is kept exact, so each of the N - 1 steps after the
+    first floors once and errs by less than one unit of 2^-bits.  For
+    |u| <= 1 no step enlarges an earlier error, and the result is within
+    N units of the sum of the given weights.  With bits = prec + 20 that is
+    below 2^-prec for any N < 2^20.  The I-class sums take at most about
+    2000 steps; R^rot takes more only near 2 pi, about 4.6e5 at
+    t = 2 pi - 10^-3 and dps 50.  Python's >> floors, also below zero; the
+    bound does not need the sign of u."""
+    y = u * u
+    two_bits = 2 * bits
+    acc = 0
+    for w in reversed(weights):
+        acc = (acc * y >> two_bits) + w
+    return acc
+
+
+def least_index(holds: Callable[[int], bool], lo: int = 0,
+                hi: Optional[int] = None) -> Optional[int]:
+    """The least n >= lo with holds(n), for a predicate that stays true
+    once it holds; with hi given, None when holds(hi) fails.
+
+    Steps 1, 2, 4, ... up from lo until the predicate holds, then bisects
+    the last step, so it makes about 2 log2(n - lo) calls where a scan
+    makes n - lo."""
+    if holds(lo):
+        return lo
+    step = 1
+    while True:
+        probe = lo + step
+        if hi is not None and probe >= hi:
+            if not holds(hi):
+                return None
+            probe = hi
+            break
+        if holds(probe):
+            break
+        lo, step = probe, 2 * step
+    while probe - lo > 1:  # holds(probe) and not holds(lo)
+        mid = (lo + probe) // 2
+        if holds(mid):
+            probe = mid
+        else:
+            lo = mid
+    return probe
 
 
 class SymbolProductError(TypeError):

@@ -11,9 +11,9 @@ explicit geometric bound falls below the working precision.  For the
 torsion sums the expansion is
 log(1 + t/d)/(d + t) = sum_{n>=1} (-1)^{n+1} H_n t^n d^{-n-1}, |d| > |t|.
 At shift 0 the head shrinks to K = 1 where the rate allows, and the tail is
-an odd power series whose weights are kept in a table; even_series_fixed()
-sums it, divided by its variable, by Horner in Python integers, the
-fixed-point idiom of specfun.hurwitz_zeta_values.
+an odd power series whose weights are kept in a table;
+numerics.even_series_fixed sums it, divided by its variable, by Horner in
+Python integers, the fixed-point idiom of specfun.hurwitz_zeta_values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .numerics import GUARD_DPS, guarded
+from .numerics import GUARD_DPS, even_series_fixed, guarded, least_index
 from .specfun import hurwitz_zeta_values
 
 HEAD_K = 20   # a shifted head |k| <= K, K >= 20, keeps q <= 1/20
@@ -131,18 +131,20 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     """
     wdps = dps + GUARD_DPS
     rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
+    # K, D and q only choose the head and the tail's length: floats will do
+    rate_f, shift_f = float(rate), abs(float(shift))
     if shift == 0:
-        K = max(1, int(mp.ceil(rate / HEAD_Q)) - 1)
+        K = max(1, math.ceil(rate_f / HEAD_Q) - 1)
     else:
-        K = max(HEAD_K, int(mp.ceil(HEAD_K * rate + abs(shift))) - 1)
+        K = max(HEAD_K, math.ceil(HEAD_K * rate_f + shift_f) - 1)
     K = min(K, MAX_HEAD_K)
-    D = K + 1 - abs(shift)
-    q = rate / D if D > 0 else mp.inf
+    D = K + 1 - shift_f
+    q = rate_f / D if D > 0 else math.inf
     if q >= 1:
         raise AccuracyError(
-            f"bilateral tail ratio q = {mp.nstr(q, 5)} is not below 1 "
+            f"bilateral tail ratio q = {q:.5g} is not below 1 "
             f"with a head of {2 * K + 1} terms", estimate=q)
-    n_terms = _tail_terms(float(D), float(q), wdps)
+    n_terms = _tail_terms(D, q, wdps)
     head = mp.fsum(term(k) for k in range(-K, K + 1))
     if not n_terms:
         return head
@@ -162,28 +164,6 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
         zeta = right[n + 1] - (-1) ** n * left[n + 1]
         tail = (tail + a[n - 1] * zeta) * x
     return head + tail
-
-
-def even_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
-    """sum_j weights[j] u^{2j} by Horner in u^2, in fixed point: every
-    number, the result too, is an integer with scale 2^bits.  An odd series
-    sum_j weights[j] v^{2j+1} is v times this sum at u = v; the caller
-    multiplies by v in mpf, so the result keeps its relative precision
-    however small v is.
-
-    The square of u is kept exact, so each of the N - 1 steps after the
-    first floors once and errs by less than one unit of 2^-bits.  For
-    |u| <= 1 no step enlarges an earlier error, and the result is within
-    N units of the sum of the given weights.  With bits = prec + 20 that is
-    below 2^-prec for any N < 2^20; the sums here take at most about 2000
-    steps.  Python's >> floors, also below zero; the bound does not need
-    the sign of u."""
-    y = u * u
-    two_bits = 2 * bits
-    acc = 0
-    for w in reversed(weights):
-        acc = (acc * y >> two_bits) + w
-    return acc
 
 
 # (weights, K + 1, log2 s, working dps) -> [w_1, w_3, w_5, ...] with scale
@@ -216,24 +196,23 @@ def _tail_terms(D: float, q: float, wdps: int) -> int:
     0 <= q < 1.
 
     sum_{n>N} q^n = q^{N+1}/(1-q) and
-    sum_{n>N} n q^n = q^{N+1} ((N+1) - N q)/(1-q)^2; compared in logs.
-    Each step from N to N + 1 multiplies the bound by at most
-    q (2 - q) < 1, so N is found by doubling and bisection."""
+    sum_{n>N} n q^n = q^{N+1} ((N+1) - N q)/(1-q)^2, so the test is
+    N log q + log B(N) <= log(10^-wdps D/2) with
+    B(N) = ((N+1) - N q)/(1-q)^2 + D/(1-q).  Each step from N to N + 1
+    multiplies the bound by at most q (2 - q) < 1.  B grows with N, so
+    solving for N with B taken at a lower bound of the answer gives a
+    higher lower bound; two such steps from 0, less one for rounding, leave
+    numerics.least_index a step or two to make."""
     if q == 0:
         return 0
-    log_eps = -wdps * math.log(10)
+    log_q = math.log(q)
+    log_eps = -wdps * math.log(10) - math.log(2 / D)
 
-    def above(N):
-        return (math.log(2 / D) + N * math.log(q)
-                + math.log(((N + 1) - N * q) / (1 - q) ** 2 + D / (1 - q))
-                > log_eps)
+    def log_bracket(N):
+        return math.log(((N + 1) - N * q) / (1 - q) ** 2 + D / (1 - q))
 
-    if not above(0):
-        return 0
-    lo, hi = 0, 1  # above(lo) holds throughout, above(hi) fails at the end
-    while above(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi
+    lo = 0
+    for _ in range(2):
+        lo = max(lo, math.ceil((log_eps - log_bracket(lo)) / log_q))
+    return least_index(lambda N: N * log_q + log_bracket(N) <= log_eps,
+                       max(0, lo - 1))

@@ -26,9 +26,9 @@ from typing import Optional
 import mpmath as mp
 
 from .chowring import t_tilde_series
-from .numerics import GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic
-from .quadrature import (IntegrandSpec, bilateral_sum, integrate,
-                         even_series_fixed)
+from .numerics import (GUARD_DPS, LOG_T, ConstExpr, even_series_fixed,
+                       guarded, harmonic, least_index)
+from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
 from .specfun import (ci, lerch_neg, lerch_prime_neg, r_rot_value, si,
@@ -120,17 +120,27 @@ def _i_class_last_index(tv, wdps: int) -> Optional[int]:
 
     |H_m zeta(-m)/m!| = 2 H_m zeta(m+1)/(2 pi)^{m+1} with
     zeta(m+1) <= 1 + 2^-m for m >= 7, so up to rounding the term at the m
-    found here, where the summation stops, is below 10^-wdps."""
+    found here, where the summation stops, is below 10^-wdps.  Past the
+    first odd m >= 7 where the log of that bound is below log eps, its step
+    2 log(t/(2 pi)) outweighs the growth of log H_m, which is below 1/m, so
+    the test stays true and numerics.least_index bisects for m, from the
+    m that H_m = H_7 would give.  H_m is taken from its asymptotic series,
+    within 1/(252 m^6) for m >= 7."""
     log_ratio = math.log(float(abs(tv)) / (2 * math.pi))
     log_eps = -wdps * math.log(10)
-    h = 1.0
-    for m in range(1, I_CLASS_MAX_INDEX + 1, 2):
-        if m > 1:
-            h += 1 / (m - 1) + 1 / m
-        if (m > 5 and math.log(2 * h * (1 + 2.0 ** -m) / (2 * math.pi))
-                + m * log_ratio < log_eps):
-            return m
-    return None
+
+    def below(j):
+        m = 2 * j + 1
+        h = (math.log(m) + 0.5772156649015329 + 1 / (2 * m)
+             - 1 / (12 * m * m) + 1 / (120 * m ** 4))
+        return (math.log(2 * h * (1 + 2.0 ** -m) / (2 * math.pi))
+                + m * log_ratio < log_eps)
+
+    last = (I_CLASS_MAX_INDEX - 1) // 2
+    least_m = (log_eps - math.log(363 / (140 * math.pi))) / log_ratio
+    j = least_index(below, min(last, max(3, math.floor((least_m - 1) / 2))),
+                    last)
+    return None if j is None else 2 * j + 1
 
 
 @guarded
@@ -142,7 +152,7 @@ def i_class_value(ell: int, t, dps: int = 50):
     Bernoulli numbers.  They are kept as c_m (2 pi)^m in fixed point, in a
     table per working precision dps + GUARD_DPS grown on demand.  The odd
     series in u = t/(2 pi), |u| < 1, is u times an even one, which
-    quadrature.even_series_fixed sums up to the index _i_class_last_index
+    numerics.even_series_fixed sums up to the index _i_class_last_index
     finds, where the terms fall below 10^-(dps + GUARD_DPS); the factor u
     stays in mpf, so small t keeps its relative precision.  Past index
     I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError at once
@@ -200,23 +210,26 @@ def bilateral_log_sum(s, x, dps: int = 50):
     products with the Hurwitz values, in fixed point.
     """
     two_pi = 2 * mp.pi
-    sv = mp.fmod(mp.mpf(s), two_pi)
-    if sv < 0:
-        sv += two_pi
+    sv = shift = mp.mpf(0)
+    if s:
+        sv = mp.fmod(mp.mpf(s), two_pi)
+        if sv < 0:
+            sv += two_pi
+        shift = sv / two_pi
     xv = mp.mpmathify(x)
     x_far = mp.ldexp(abs(xv), 20)
 
     def term(k):
         d = two_pi * k + sv
-        if d == 0:
-            return mp.mpf(0)
+        if not d:
+            return d
         e = d + xv
         if abs(d) > x_far:  # e/d - 1 would keep too few digits of x/d
             return mp.log1p(xv / d) / e
         return mp.log(e / d) / e
 
     return bilateral_sum(term, _log_sum_weights, xv, abs(xv) / two_pi,
-                         sv / two_pi, dps=dps)
+                         shift, dps=dps)
 
 
 @guarded
@@ -229,7 +242,7 @@ def i_class_direct(ell: int, t, dps: int = 50):
     The terms k = +-1 stay direct logarithms; the tail over |k| >= 2 is
     sum_{n odd} 2 H_n zeta(n+1, 2) t^n/(2 pi)^{n+1}.  The two routes share
     the harmonic numbers H_n and the fixed-point Horner sum
-    (quadrature.even_series_fixed), but not their zeta values: this one
+    (numerics.even_series_fixed), but not their zeta values: this one
     takes zeta(n+1, 2) from Euler-Maclaurin with weights 2 zeta(2i) from
     mpmath, i_class_value takes zeta(-m) from exact Bernoulli numbers."""
     tv = mp.mpf(t)
@@ -239,7 +252,8 @@ def i_class_direct(ell: int, t, dps: int = 50):
     # sum above; combined with the 1/i in the fixed-point prefactor
     # cos(.)/(i sin(.)) this contributes an overall -1.
     inner = bilateral_log_sum(0, tv, dps)
-    return -(mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * inner
+    half = mp.ldexp(tv, -1)
+    return -(mp.cos((ell + 1) * half) / mp.sin(half)) * inner
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,12 @@ def test_uncalled_check_sees_a_stray_function():
     assert _uncalled_functions({"m": source}) == {"m.stray"}
 
 
-# The tables of the I-class routes and of bilateral_sum's tail, each built
-# on first use; name -> expression for its size
+# The tables of the I-class routes, of bilateral_sum's tail, of R^rot and
+# of the Si/Ci Taylor sums, each built on first use; name -> expression for
+# its size
 TABLES = {"quadrature._ODD_TAILS": "len(quadrature._ODD_TAILS)",
+          "specfun._R_ROT_WEIGHTS": "len(specfun._R_ROT_WEIGHTS)",
+          "specfun._sici_taylor": "specfun._sici_taylor.cache_info().currsize",
           "torsion._I_CLASS_COEFFS": "len(torsion._I_CLASS_COEFFS)",
           "torsion._LOG_SUM_WEIGHTS": "len(torsion._LOG_SUM_WEIGHTS)",
           "specfun._em_coeff_fixed":

@@ -8,7 +8,8 @@ from mpmath import mp
 
 from p1torsion.numerics import (ConstExpr, SymbolProductError, ZERO_EXPR,
                                 ONE_EXPR, GAMMA, LOG_T, harmonic,
-                                const_to_json)
+                                const_to_json, even_series_fixed,
+                                least_index)
 
 
 def rationals():
@@ -87,6 +88,35 @@ class TestHarmonic:
     @given(st.integers(min_value=1, max_value=60))
     def test_recurrence(self, m):
         assert harmonic(m) == harmonic(m - 1) + Fraction(1, m)
+
+
+class TestKernels:
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 400))
+    def test_least_index_equals_a_scan(self, lo, width, threshold):
+        calls = []
+
+        def holds(n):
+            calls.append(n)
+            return n >= threshold
+
+        hi = lo + width
+        want = next((n for n in range(lo, hi + 1) if holds(n)), None)
+        calls.clear()
+        assert least_index(holds, lo, hi) == want
+        assert len(calls) <= 2 * max(1, width).bit_length() + 2
+        if want is not None:
+            assert least_index(holds, lo) == want
+
+    def test_even_series_fixed_within_n_units(self):
+        # sum_j w_j u^{2j} against exact rationals: N = 40 steps err by
+        # at most N units of 2^-bits, for either sign of u
+        bits = 120
+        weights = [(-1) ** j * ((j + 3) << bits) // (j + 2)
+                   for j in range(40)]
+        for u in ((7 << bits) // 9, -((5 << bits) // 6), 1 << bits):
+            exact = sum(Fraction(w) * Fraction(u, 1 << bits) ** (2 * j)
+                        for j, w in enumerate(weights))
+            assert abs(even_series_fixed(weights, u, bits) - exact) <= 40
 
 
 class TestEval:

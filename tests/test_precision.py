@@ -7,7 +7,8 @@ global precision of dps + 20, to 10^-dps max(1, |v|): the guard digits of
 numerics.guarded must absorb both the rounding of its arguments and that of
 its own arithmetic, and no argument may be read at the caller's 15 digits.
 Each case runs at dps 50, and at dps 100 where that call takes under a
-second; the I-class routes and bilateral_sum also run at dps 200.
+second; the I-class routes, bilateral_sum, R^rot, Si/Ci and the routes
+built on them also run at dps 200.
 check_defining_property is left out: its residuals depend on dps through
 its finite-difference step.
 """
@@ -55,16 +56,17 @@ CASES = {
                            (50, 100)),
     "lerch_prime_neg(2)": (lambda dps: specfun.lerch_prime_neg(2, T, dps),
                            (50, 100)),
-    "si": (lambda dps: specfun.si(T, dps), (50, 100)),
-    "ci": (lambda dps: specfun.ci(T, dps), (50, 100)),
-    "si large": (lambda dps: specfun.si(T_LARGE, dps), (50, 100)),
-    "ci large": (lambda dps: specfun.ci(T_LARGE, dps), (50, 100)),
-    "r_rot_value": (lambda dps: specfun.r_rot_value(T, dps), (50, 100)),
+    "si": (lambda dps: specfun.si(T, dps), (50, 100, 200)),
+    "ci": (lambda dps: specfun.ci(T, dps), (50, 100, 200)),
+    "si large": (lambda dps: specfun.si(T_LARGE, dps), (50, 100, 200)),
+    "ci large": (lambda dps: specfun.ci(T_LARGE, dps), (50, 100, 200)),
+    "r_rot_value": (lambda dps: specfun.r_rot_value(T, dps), (50, 100, 200)),
     "integrate": (lambda dps: quadrature.integrate(IntegrandSpec(
         lambda r: mp.exp(T * r) / (1 + r * r), 0, T), dps=dps).value,
         (50, 100)),
     "bilateral_sum": (_lorentz_sum, (50, 100, 200)),
-    "torsion_group": (lambda dps: torsion.torsion_group(2, T, dps), (50, 100)),
+    "torsion_group": (lambda dps: torsion.torsion_group(2, T, dps),
+                      (50, 100, 200)),
     "i_class_value": (lambda dps: torsion.i_class_value(1, T, dps),
                       (50, 100, 200)),
     "i_class_direct": (lambda dps: torsion.i_class_direct(1, T, dps),
@@ -76,7 +78,8 @@ CASES = {
     "oscillatory_integral_quad": (
         lambda dps: torsion.oscillatory_integral_quad(2, T, dps), (50, 100)),
     "oscillatory_integral_sici": (
-        lambda dps: torsion.oscillatory_integral_sici(2, T, dps), (50, 100)),
+        lambda dps: torsion.oscillatory_integral_sici(2, T, dps),
+        (50, 100, 200)),
     "torsion_asymptotic": (lambda dps: torsion.torsion_asymptotic(100, T, dps),
                            (50, 100)),
     "r_tilde0": (lambda dps: torsion.r_tilde0(T, X_SMALL, dps), (50,)),

@@ -1,8 +1,12 @@
 """Quadrature and error-bounded bilateral summation."""
 
+import math
+import random
+
 import pytest
 from mpmath import mp
 
+from p1torsion import quadrature
 from p1torsion.quadrature import (AccuracyError, IntegrandSpec, integrate,
                                   bilateral_sum)
 
@@ -152,3 +156,27 @@ class TestBilateralSum:
             bilateral_sum(term, lorentz_weights, b, b, dps=30)
         assert exc.value.estimate >= 1
         assert calls == []
+
+
+def test_tail_terms_equal_the_linear_scan():
+    # the scan over N that _tail_terms replaced, on random (D, q, wdps)
+    def scan(D, q, wdps):
+        if q == 0:
+            return 0
+        log_eps = -wdps * math.log(10)
+        N = 0
+        while (math.log(2 / D) + N * math.log(q)
+               + math.log(((N + 1) - N * q) / (1 - q) ** 2 + D / (1 - q))
+               > log_eps):
+            N += 1
+        return N
+
+    rng = random.Random(7)
+    for _ in range(1000):
+        D = rng.choice([2.0, rng.uniform(1e-3, 50),
+                        float(rng.randint(1, 3000))])
+        q = min(0.95, rng.choice([rng.random(), rng.random() ** 8,
+                                  1 - rng.random() ** 4, 0.5, 0.0]))
+        wdps = rng.randint(5, 300)
+        assert quadrature._tail_terms(D, q, wdps) == scan(D, q, wdps), (
+            D, q, wdps)

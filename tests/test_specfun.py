@@ -1,11 +1,16 @@
 """Special functions: independent oracles for every evaluation path."""
 
+import functools
+import inspect
 import math
+import random
+import types
 
 import pytest
 from mpmath import mp
 
 from p1torsion import specfun
+from p1torsion.numerics import GUARD_DPS
 from p1torsion.quadrature import IntegrandSpec, integrate
 
 
@@ -98,6 +103,33 @@ class TestHurwitz:
                 specfun.hurwitz_zeta_values(ss, 0.5, dps=30)
         with pytest.raises(ValueError):
             specfun.hurwitz_zeta_values([2], 0, dps=30)
+
+    def test_em_shift_equals_the_linear_scan(self):
+        # the scan _em_shift replaced: raise M one step at a time from the
+        # same start until every s meets the bound
+        def scan(a, ss, wdps):
+            log_eps = -wdps * math.log(10) - 1
+
+            def log_bound(s, y):
+                J = max(1, math.floor((y - s + 1) / 2))
+                return (math.log(4 * (s - 1)) + math.lgamma(s + 2 * J - 1)
+                        - math.lgamma(s) - 2 * J * math.log(y))
+
+            M = max(0, math.ceil(-log_eps / (2 * math.pi) - a))
+            while any(log_bound(s, 2 * math.pi * (a + M)) > log_eps
+                      for s in ss):
+                M += 1
+            return M
+
+        rng = random.Random(12)
+        for _ in range(300):
+            a = rng.choice([rng.uniform(1e-4, 1), rng.uniform(1, 60),
+                            float(rng.randint(1, 40))])
+            top = rng.randint(2, 900)
+            ss = sorted(set(rng.randint(2, top) for _ in range(8))) + [top]
+            wdps = rng.randint(15, 520)
+            assert specfun._em_shift(a, ss, wdps) == scan(a, ss, wdps), (
+                a, ss, wdps)
 
     def test_stieltjes_gamma1(self):
         mp.dps = 40
@@ -199,11 +231,52 @@ class TestSiCiEi:
         assert abs(lo[0] - hi[0]) < mp.mpf(10) ** -25
         assert abs(lo_ci - hi[1]) < mp.mpf(10) ** -25
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("where", ["0.1", "5", "30", "12 pi",
+                                       "below the crossover"])
+    def test_taylor_branch_against_mpmath(self, where, dps):
+        # at 20 more digits, to 10^-dps max(1, |value|)
+        with mp.workdps(dps + 20):
+            x = {"12 pi": 12 * mp.pi,
+                 "below the crossover":
+                     mp.mpf(specfun._sici_crossover(dps)) - mp.mpf("1e-3"),
+                 }.get(where) or mp.mpf(where)
+            want = (mp.si(x), mp.ci(x))
+        got = (specfun.si(x, dps), specfun.ci(x, dps))
+        with mp.workdps(dps + 20):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= mp.mpf(10) ** -dps * max(1, abs(w))
+
+    @pytest.mark.parametrize("old,new", [
+        ("si += si_term // (2 * k + 1)",
+         "si += si_term // (2 * k + 1) if k != 4 else 0"),
+        ("cin += cin_term // (2 * k)",
+         "cin += cin_term // (2 * k) if k != 4 else 0")])
+    def test_dropping_one_term_is_seen(self, old, new):
+        # specfun built again from its own source, once as it is and once
+        # without the term k = 4 of the Si or the Ci sum: only the copy
+        # that keeps every term matches mpmath
+        source = inspect.getsource(specfun)
+        assert source.count(old) == 1
+        x = mp.mpf(5)
+        with mp.workdps(70):
+            want = (mp.si(x), mp.ci(x))
+        bound = mp.mpf(10) ** -50
+        errors = []
+        for text in (source, source.replace(old, new)):
+            copy = types.ModuleType("p1torsion.specfun_copy")
+            copy.__package__ = "p1torsion"
+            exec(compile(text, specfun.__file__, "exec"), copy.__dict__)
+            got = (copy.si(x, 50), copy.ci(x, 50))
+            errors.append(max(abs(g - w) for g, w in zip(got, want)))
+        assert errors[0] <= bound < errors[1]
+
     def test_si_is_odd_at_low_global_precision(self):
         # the negation for x < 0 must run at the requested precision, not
         # at the caller's global one
         mp.dps = 15
         assert specfun.si(-1, 50) + specfun.si(1, 50) == 0
+        assert specfun.si(0, 50) == 0
 
     def test_si_large_argument_bound(self):
         mp.dps = 30
@@ -225,6 +298,26 @@ class TestSiCiEi:
         assert abs(lhs - rhs) < mp.mpf(10) ** -33
 
 
+@functools.lru_cache(maxsize=None)
+def _r_rot_oracle(t: str, dps: int):
+    """(t, R^rot(t)) with R^rot(t) = Im d/ds Li_s(e^{it}) at s = 0 from
+    mpmath alone, both at dps + 20 digits, in Lerch's closed form: with
+    a = t/(2 pi), d/ds Li_s(e^{it}) at 0 is
+    ((log 2 pi + gamma) B0 + B1)/(2 pi i),
+    B0 = psi(a) - psi(1-a) - i pi and
+    B1 = gamma_1(1-a) - gamma_1(a) - (i pi/2)(psi(1-a) + psi(a)).
+    It takes 0.2-0.8 s a point where mp.diff of mp.polylog takes 1-13 s;
+    TestRRot.test_series_matches_value keeps that form at dps 40."""
+    with mp.workdps(dps + 20):
+        tv = mp.mpf(t)
+        a = tv / (2 * mp.pi)
+        b0 = mp.digamma(a) - mp.digamma(1 - a) - 1j * mp.pi
+        b1 = (mp.stieltjes(1, 1 - a) - mp.stieltjes(1, a)
+              - 0.5j * mp.pi * (mp.digamma(1 - a) + mp.digamma(a)))
+        return tv, mp.im(((mp.log(2 * mp.pi) + mp.euler) * b0 + b1)
+                         / (2j * mp.pi))
+
+
 class TestRRot:
     def test_series_matches_value(self):
         # R^rot(t) = Im d/ds Li_s(e^{it}) at s = 0, by mpmath's polylog
@@ -236,6 +329,53 @@ class TestRRot:
             value = specfun.r_rot_value(tv, dps=40)
             assert abs(value - want) < mp.mpf(10) ** -35
 
+    @pytest.mark.parametrize("dps,t", [(50, "0.2"), (50, "2.9"), (50, "5.0"),
+                                       (100, "0.2"), (100, "2.9"),
+                                       (100, "4.1")])
+    def test_against_mpmath(self, dps, t):
+        tv, want = _r_rot_oracle(t, dps)
+        got = specfun.r_rot_value(tv, dps)
+        with mp.workdps(dps + 20):
+            assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("t", ["3.0", "3.1"])
+    def test_reflection(self, t, dps):
+        # R^rot(2 pi - t) = -R^rot(t); 2 pi - t is formed at 20 more digits
+        with mp.workdps(dps + 20):
+            tv = mp.mpf(t)
+            other = 2 * mp.pi - tv
+        a = specfun.r_rot_value(tv, dps)
+        b = specfun.r_rot_value(other, dps)
+        with mp.workdps(dps + 20):
+            assert abs(a + b) <= mp.mpf(10) ** -dps * max(1, abs(a))
+
+    def test_perturbed_weight_is_seen(self, monkeypatch):
+        # one weight moved by 2^-130 of itself, about 10^-39: the value
+        # leaves the oracle's bound
+        dps = 50
+        tv, want = _r_rot_oracle("2.9", dps)
+        bound = mp.mpf(10) ** -dps * max(1, abs(want))
+        assert abs(specfun.r_rot_value(tv, dps) - want) <= bound
+        table = list(specfun._R_ROT_WEIGHTS[dps + GUARD_DPS])
+        table[5] += table[5] >> 130
+        monkeypatch.setitem(specfun._R_ROT_WEIGHTS, dps + GUARD_DPS, table)
+        assert abs(specfun.r_rot_value(tv, dps) - want) > bound
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfun.r_rot_value(mp.mpf(7), dps=30)
+        # within 2^-53 of 2 pi the series would need past 10^16 terms
+        with mp.workdps(40):
+            near = 2 * mp.pi - mp.mpf("1e-20")
+        with pytest.raises(ArithmeticError):
+            specfun.r_rot_value(near, dps=30)
+
+    def test_below_the_float_range(self):
+        # t/(2 pi) is 0 as a float; the power series is about 10^-800 of
+        # (gamma + log t)/t
+        t = mp.mpf("1e-400")
+        with mp.workdps(70):
+            want = (mp.euler + mp.log(t)) / t
+            assert abs(specfun.r_rot_value(t, 50) - want) <= (
+                mp.mpf(10) ** -50 * abs(want))

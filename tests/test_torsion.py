@@ -7,6 +7,7 @@ independent route (special-function values and quadrature on one side,
 exact series coefficients on the other).
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from mpmath import mp
 import pytest
 
 from p1torsion import quadrature, specfun, torsion
+from p1torsion.numerics import GUARD_DPS
 from p1torsion.torsion import CancellationError, ConvergenceError
 
 
@@ -70,6 +72,29 @@ class TestGroupTorsion:
 
 
 class TestIClass:
+    @pytest.mark.parametrize("dps", [50, 100, 200])
+    def test_last_index_equals_the_loop(self, dps):
+        # the loop _i_class_last_index replaced, with the bound's test at
+        # every odd m past 5, on a t grid: the test never turns false
+        # again once true, and the bisection finds the loop's m
+        wdps = dps + GUARD_DPS
+        log_eps = -wdps * math.log(10)
+        for j in range(1, 126):
+            t = j / 20
+            log_ratio = math.log(t / (2 * math.pi))
+            h, tests = 1.0, []
+            for m in range(1, torsion.I_CLASS_MAX_INDEX + 1, 2):
+                if m > 1:
+                    h += 1 / (m - 1) + 1 / m
+                if m > 5:
+                    tests.append((m, math.log(2 * h * (1 + 2.0 ** -m)
+                                              / (2 * math.pi))
+                                  + m * log_ratio < log_eps))
+            first = next((m for m, below in tests if below), None)
+            assert all(below for m, below in tests if first and m >= first)
+            for tv in (mp.mpf(t), -mp.mpf(t)):
+                assert torsion._i_class_last_index(tv, wdps) == first, t
+
     @pytest.mark.parametrize("t", ["0.6", "1.7"])
     def test_value_matches_direct_bilateral_sum(self, t):
         mp.dps = 40
