@@ -16,13 +16,25 @@ part makes cancellations exact set-differences rather than numeric near-zeros.
 Working precision is set in one place, the ``guarded`` decorator: every
 numeric entry point of the package takes the number of digits ``dps`` it
 returns, works at dps + GUARD_DPS and rounds its result to dps.  Only the
-tables keyed on a working precision and the Si/Ci Taylor series (which needs
-more digits as its argument grows) set a precision of their own.
+Euler-Maclaurin weights of specfun.hurwitz_zeta_values and the Si/Ci Taylor
+series (which needs more digits as its argument grows) set a precision of
+their own.
 
-Two small kernels serve the numeric routes of specfun, quadrature and
-torsion: even_series_fixed, the fixed-point Horner sum of an even power
-series, and least_index, the doubling-and-bisection search for the least
-index at which a monotone stopping bound holds.
+The kernels of the numeric routes of specfun, quadrature and torsion:
+
+  * fixed_bits: the one fixed-point format, integers with scale
+    2^(prec + 20) at the working precision;
+  * odd_series: u sum_j w_j u^{2j} for t-independent weights w_j, kept as
+    fixed-point integers in one table registry per (key, working
+    precision) and summed by Horner in Python integers
+    (even_series_fixed, within one unit of 2^-(prec + 20) a step; Brent
+    and Zimmermann, Modern Computer Arithmetic, 2010); R^rot, the I-class
+    series and the shift-0 tail of quadrature.bilateral_sum state only
+    their weights;
+  * odd_series_terms: the term count of R^rot and of the I-class series,
+    from one bound on their weights, cut at 10^-wdps |u|;
+  * least_index: the doubling-and-bisection search for the least index at
+    which a monotone stopping bound holds.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -87,6 +100,77 @@ def _rounded(value):
 # Kernels shared by the numeric routes
 # ---------------------------------------------------------------------------
 
+def fixed_bits() -> int:
+    """The scale 2^bits of the fixed-point numbers at the current working
+    precision: bits = prec + 20, so that N < 2^20 steps of a fixed-point
+    recurrence, each erring by one unit of 2^-bits, stay below 2^-prec."""
+    return mp.mp.prec + 20
+
+
+# (key, working precision in bits) -> [w_0, w_1, ...] of an odd series,
+# as integers with scale 2^fixed_bits()
+_ODD_SERIES: dict[tuple, list] = {}
+
+
+def odd_series(key, weights: Callable, count: int, u):
+    """u sum_{j<count} w_j u^{2j} in mpf, |u| <= 1, at the current working
+    precision, for weights w_j that do not depend on u.
+
+    The w_j are kept in one table per (key, working precision) as
+    fixed-point integers, and weights(start, stop) gives the mpf w_j for
+    start <= j < stop (or more) when the table is too short; a key names
+    one series, so every call under it must pass the same weights.  The
+    even sum is even_series_fixed at u, within count units of 2^-bits, an
+    absolute error: the callers scale their weights to at most O(j), with a
+    sum that is not small.  The factor u stays in mpf, so the result keeps
+    its relative precision however small u is."""
+    bits = fixed_bits()
+    table = _ODD_SERIES.setdefault((key, mp.mp.prec), [])
+    if len(table) < count:
+        table.extend(int(mp.ldexp(w, bits))
+                     for w in weights(len(table), count))
+    even = even_series_fixed(table[:count], int(mp.ldexp(u, bits)), bits)
+    return u * mp.ldexp(even, -bits)
+
+
+def odd_series_terms(u: float, wdps: int) -> Optional[int]:
+    """How many weights odd_series needs at u >= 0 for 10^-wdps relative to
+    u: the least j + 1 such that the terms past m = 2j + 1 of
+    sum_{m odd} |w_m| u^m sum to at most 10^-wdps u, for weights with
+
+        |w_m| <= 2 zeta(m+1) (log(m+1) + 2.5)/(2 pi).
+
+    The weights of R^rot meet it by the functional equation of zeta,
+    |w_m| = (2 zeta(m+1)/(2 pi)) |log 2 pi - psi(m+1) - zeta'(m+1)/zeta(m+1)|,
+    and those of the I-class series, 2 H_m zeta(m+1)/(2 pi), since
+    H_m <= log(m+1) + 2.5.  None when u >= 1 as a float, where the series
+    would need more than 10^16 terms or does not converge.
+
+    With zeta(m+1) <= 1 + 2^-M for m > M and log(m+1) below its tangent at
+    M + 3, the terms past M sum to at most
+    2 (1 + 2^-M)/(2 pi) u^{M+2} [A/(1 - v) + 2v/((M+3)(1 - v)^2)],
+    A = log(M+3) + 2.5, v = u^2.  Once this is at most 10^-wdps u it
+    stays so for every larger M.  The same bound with A = log 4 + 2.5 and
+    no second term gives the M below which it cannot be, where least_index
+    starts.  u = 0, a u below the float range, needs one weight."""
+    if u >= 1:
+        return None
+    log_u = math.log(u) if u > 0 else -math.inf
+    v = u * u
+    log_eps = -wdps * math.log(10)
+
+    def reached(j):
+        M = 2 * j + 1
+        A = math.log(M + 3) + 2.5
+        return (math.log(2 * (1 + 2.0 ** -M) / (2 * math.pi)) + (M + 1) * log_u
+                + math.log(A / (1 - v) + 2 * v / ((M + 3) * (1 - v) ** 2))
+                <= log_eps)
+
+    least_m = ((log_eps - math.log((math.log(4) + 2.5) / (math.pi * (1 - v))))
+               / log_u - 1)
+    return least_index(reached, max(0, math.ceil((least_m - 1) / 2))) + 1
+
+
 def even_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
     """sum_j weights[j] u^{2j} by Horner in u^2, in fixed point: every
     number, the result too, is an integer with scale 2^bits.  An odd series
@@ -97,9 +181,9 @@ def even_series_fixed(weights: Sequence[int], u: int, bits: int) -> int:
     The square of u is kept exact, so each of the N - 1 steps after the
     first floors once and errs by less than one unit of 2^-bits.  For
     |u| <= 1 no step enlarges an earlier error, and the result is within
-    N units of the sum of the given weights.  With bits = prec + 20 that is
-    below 2^-prec for any N < 2^20.  The I-class sums take at most about
-    2000 steps; R^rot takes more only near 2 pi, about 4.6e5 at
+    N units of the sum of the given weights.  With bits = fixed_bits()
+    that is below 2^-prec for any N < 2^20.  The I-class sums take at most
+    about 2000 steps; R^rot takes more only near 2 pi, about 4.6e5 at
     t = 2 pi - 10^-3 and dps 50.  Python's >> floors, also below zero; the
     bound does not need the sign of u."""
     y = u * u

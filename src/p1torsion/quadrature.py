@@ -11,20 +11,20 @@ explicit geometric bound falls below the working precision.  For the
 torsion sums the expansion is
 log(1 + t/d)/(d + t) = sum_{n>=1} (-1)^{n+1} H_n t^n d^{-n-1}, |d| > |t|.
 At shift 0 the head shrinks to K = 1 where the rate allows, and the tail is
-an odd power series whose weights are kept in a table;
-numerics.even_series_fixed sums it, divided by its variable, by Horner in
-Python integers, the fixed-point idiom of specfun.hurwitz_zeta_values.
+an odd power series in fixed point, numerics.odd_series, the kernel of
+R^rot and of the I-class series too; only its weights are stated here.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .numerics import GUARD_DPS, even_series_fixed, guarded, least_index
+from .numerics import GUARD_DPS, guarded, least_index, odd_series
 from .specfun import hurwitz_zeta_values
 
 HEAD_K = 20   # a shifted head |k| <= K, K >= 20, keeps q <= 1/20
@@ -119,20 +119,24 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
 
     where s is the power of two with s <= |x|/rate < 2s.  Then |u| < 2q <= 1
     and, since zeta(n+1, A) <= A^{-n-1} (1 + A/n), |w_n| <= n + 2: every
-    operand of the Horner scheme is O(1).  The w_n do not depend on x.  They
-    are built in one Euler-Maclaurin pass (specfun.hurwitz_zeta_values) per
-    (weights, A, s, working precision), long enough for q = HEAD_Q, and kept
-    as integers with scale 2^(prec + 20); ``weights`` is part of the key, so
-    one expansion should always pass the same function.  A call sums its
-    head and evaluates the tail as u times even_series_fixed at u, whose
-    rounding stays below 2^-prec: the tail keeps its relative precision as
-    x goes to 0.  A complex x, or a head capped at MAX_HEAD_K with
-    q > HEAD_Q, takes the per-call Hurwitz pass instead.
+    operand of the Horner scheme is O(1).  The w_n do not depend on x:
+    numerics.odd_series keeps them under the key (weights, A, s A) and sums
+    the tail, in fixed point with rounding below 2^-prec times |u|, so the
+    tail keeps its relative precision as x goes to 0.  The table is built
+    whole at its first call, in one Euler-Maclaurin pass
+    (specfun.hurwitz_zeta_values) long enough for q = HEAD_Q, since that
+    pass depends on the full set of s; ``weights`` is part of the key, so
+    one expansion should always pass the same function.  A complex x, or a
+    head capped at MAX_HEAD_K with q > HEAD_Q, takes the per-call Hurwitz
+    pass instead.
     """
     wdps = dps + GUARD_DPS
     rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
-    # K, D and q only choose the head and the tail's length: floats will do
-    rate_f, shift_f = float(rate), abs(float(shift))
+    # K, D and q only choose the head and the tail's length: floats will do.
+    # A rate below the float range counts as the least normal float, so q
+    # stays positive; a larger q only lengthens the tail.
+    rate_f = max(float(rate), sys.float_info.min) if rate else 0.0
+    shift_f = abs(float(shift))
     if shift == 0:
         K = max(1, math.ceil(rate_f / HEAD_Q) - 1)
     else:
@@ -149,12 +153,19 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     if not n_terms:
         return head
     if shift == 0 and q <= HEAD_Q and isinstance(x, mp.mpf):
-        e = math.frexp(float(abs(x) / rate))[1] - 1  # s = 2^e
-        bits = mp.mp.prec + 20
-        table = _odd_tail(weights, K + 1, e, wdps)[:(n_terms + 1) // 2]
-        u = x / mp.ldexp(K + 1, e)
-        even = even_series_fixed(table, int(mp.ldexp(u, bits)), bits)
-        return head + u * mp.ldexp(even, -bits)
+        A = K + 1
+        sA = mp.ldexp(A, math.frexp(float(abs(x) / rate))[1] - 1)
+
+        def tail_weights(start, stop):
+            # the whole table at once: the Hurwitz pass serves every n
+            n_max = _tail_terms(float(A), HEAD_Q, wdps)
+            zeta = hurwitz_zeta_values(range(2, n_max + 2, 2), A, wdps)
+            coeffs = weights(n_max, wdps)
+            return [2 * coeffs[n - 1] * zeta[n + 1] * sA ** n
+                    for n in range(1, n_max + 1, 2)]
+
+        return head + odd_series((weights, A, sA), tail_weights,
+                                 (n_terms + 1) // 2, x / sA)
     a = weights(n_terms, wdps)
     ss = range(2, n_terms + 2)
     right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
@@ -164,31 +175,6 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
         zeta = right[n + 1] - (-1) ** n * left[n + 1]
         tail = (tail + a[n - 1] * zeta) * x
     return head + tail
-
-
-# (weights, K + 1, log2 s, working dps) -> [w_1, w_3, w_5, ...] with scale
-# 2^(prec + 20), w_n as in bilateral_sum
-_ODD_TAILS: dict[tuple, list] = {}
-
-
-def _odd_tail(weights: Weights, a: int, e: int, wdps: int) -> list:
-    """The odd-n tail weights w_n of bilateral_sum at shift 0, for every n
-    that q = HEAD_Q needs at A = a, s = 2^e: a table built once per key, so
-    its values do not depend on the call that built it."""
-    key = (weights, a, e, wdps)
-    table = _ODD_TAILS.get(key)
-    if table is None:
-        n_max = _tail_terms(float(a), HEAD_Q, wdps)
-        with mp.workdps(wdps):
-            bits = mp.mp.prec + 20
-            zeta = hurwitz_zeta_values(range(2, n_max + 2, 2), a, wdps)
-            coeffs = weights(n_max, wdps)
-            scale = mp.ldexp(a, e)
-            table = [int(mp.ldexp(2 * coeffs[n - 1] * zeta[n + 1]
-                                  * scale ** n, bits))
-                     for n in range(1, n_max + 1, 2)]
-        _ODD_TAILS[key] = table
-    return table
 
 
 def _tail_terms(D: float, q: float, wdps: int) -> int:

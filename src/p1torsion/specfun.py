@@ -16,20 +16,20 @@ s-derivative) is computed by Euler-Maclaurin summation in-house so the
 continuation path is independent of the closed-form path.
 
 The numeric series sum in fixed point: Python integers with scale 2^bits,
-bits = prec + 20 at the working precision.  Tables, bounds and stops:
+bits = numerics.fixed_bits() at the working precision.  Tables, bounds and
+stops:
 
   * hurwitz_zeta_values: the Euler-Maclaurin weights 2 zeta(2i)
     (_em_coeff_fixed, cached per (i, bits)); the remainder after J
     corrections is below 4 X (s)_{2J-1}/(2 pi X)^{2J}, and the shift M is
     the least one at which every s meets 10^-wdps (_em_shift, by
     bisection).
-  * r_rot_value: the weights w_m = (-1)^{(m+1)/2} zeta'(-m) (2 pi)^m/m!,
-    built from the cached zeta_prime_neg values, in a table per working
-    precision (_R_ROT_WEIGHTS) grown on demand; |w_m| <=
-    2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), and the number of terms is fixed
-    before the sum, where that bound puts the dropped terms below
-    10^-(dps + GUARD_DPS) (_r_rot_count).  numerics.even_series_fixed sums
-    them.
+  * r_rot_value: states its weights w_m = (-1)^{(m+1)/2} zeta'(-m)
+    (2 pi)^m/m!, built from the cached zeta_prime_neg values;
+    numerics.odd_series keeps them in its table registry and sums them, to
+    the count numerics.odd_series_terms fixes before the sum from
+    |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), where the dropped terms
+    fall below 10^-(dps + GUARD_DPS) u.
   * si, ci: below _sici_crossover(dps) = 2.4 dps + 10, the Taylor series
     at dps + 0.45 x + GUARD_DPS digits (_sici_taylor), stopped after both
     terms fall below 10^-(dps + 0.45 x + GUARD_DPS); above it the
@@ -44,8 +44,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import (GUARD_DPS, ConstExpr, even_series_fixed, guarded,
-                       harmonic, least_index)
+from .numerics import (GUARD_DPS, ConstExpr, fixed_bits, guarded, harmonic,
+                       least_index, odd_series, odd_series_terms)
 from .series import DEFAULT_ORDER, LaurentSeries
 
 
@@ -200,7 +200,7 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
         raise ValueError("hurwitz_zeta_values needs a > 0")
     M = _em_shift(float(a), ss, wdps)
     X = a + M
-    bits = mp.mp.prec + 20
+    bits = fixed_bits()
 
     def fixed(x):
         return int(mp.ldexp(x, bits))
@@ -411,21 +411,21 @@ def _sici_taylor(x, dps: int):
     summed in fixed point.  The terms grow to about e^x/x before they fall,
     so the sums run at dps + boost digits, boost = 0.45 x + GUARD_DPS,
     which absorbs the 0.434 x digits of cancellation.  s_j and c_k are
-    Python integers with scale 2^bits, bits = prec + 20 at that precision,
-    and each step of a recurrence floors twice: over K steps the error is
-    below K units of 2^-prec times the largest term, as for the same
-    recurrence in mpf.  The factors x and x^2 are applied in mpf, so small
-    x keeps its relative precision.  The sum stops after the first k at
-    which both terms x s_k and x^2 c_k are below 10^-(dps + boost); past
-    that they fall faster than geometrically.  The last few results are
-    kept, so si and ci at one x share a single pass.
+    Python integers with scale 2^bits, bits = numerics.fixed_bits() at
+    that precision, and each step of a recurrence floors twice: over K
+    steps the error is below K units of 2^-prec times the largest term, as
+    for the same recurrence in mpf.  The factors x and x^2 are applied in
+    mpf, so small x keeps its relative precision.  The sum stops after the
+    first k at which both terms x s_k and x^2 c_k are below
+    10^-(dps + boost); past that they fall faster than geometrically.  The
+    last few results are kept, so si and ci at one x share a single pass.
     """
     if x == 0:
         return x, x
     boost = int(0.45 * abs(x)) + GUARD_DPS
     with mp.workdps(dps + boost):
         x = mp.mpf(x)
-        bits = mp.mp.prec + 20
+        bits = fixed_bits()
         x2 = int(mp.ldexp(x * x, bits))
         eps = mp.mpf(10) ** -(dps + boost)
         si_stop = int(mp.ldexp(eps / x, bits))
@@ -500,86 +500,38 @@ def ci(x, dps: int = 50):
 # R-series
 # ---------------------------------------------------------------------------
 
-# working dps -> [w_1, w_3, w_5, ...] of r_rot_value, as integers with scale
-# 2^(prec + 20)
-_R_ROT_WEIGHTS: dict[int, list] = {}
-
-
-def _r_rot_weights(count: int, wdps: int) -> list:
-    """The first ``count`` odd-index weights
-    w_m = (-1)^{(m+1)/2} zeta'(-m) (2 pi)^m/m! of r_rot_value at wdps
-    digits, from a table that grows on demand; zeta'(-m) is the cached
-    zeta_prime_neg(m, wdps)."""
-    table = _R_ROT_WEIGHTS.setdefault(wdps, [])
-    with mp.workdps(wdps):
-        bits = mp.mp.prec + 20
-        two_pi = 2 * mp.pi
-        for j in range(len(table), count):
-            m = 2 * j + 1
-            w = zeta_prime_neg(m, wdps) * two_pi ** m / mp.factorial(m)
-            table.append((-1) ** (j + 1) * int(mp.ldexp(w, bits)))
-    return table
-
-
-def _r_rot_count(u: float, wdps: int) -> int:
-    """How many weights r_rot_value needs at u = t/(2 pi), 0 < u < 1: the
-    least j + 1 such that the terms past m = 2j + 1 sum to at most
-    10^-wdps.
-
-    By the functional equation,
-    |w_m| = (2 zeta(m+1)/(2 pi)) |log 2 pi - psi(m+1) - zeta'(m+1)/zeta(m+1)|
-          <= 2 zeta(m+1) (log(m+1) + 2.5)/(2 pi).
-    With zeta(m+1) <= 1 + 2^-M for m > M and log(m+1) below its tangent at
-    M + 3, the terms past M sum to at most
-    2 (1 + 2^-M)/(2 pi) u^{M+2} [A/(1 - v) + 2v/((M+3)(1 - v)^2)],
-    A = log(M+3) + 2.5, v = u^2.  Once this holds it holds for every
-    larger M.  The same bound with A = log 4 + 2.5 and no second term gives
-    the M below which it cannot hold, where the search starts."""
-    if u >= 1:  # t within about 2^-53 of 2 pi
-        raise ArithmeticError("R^rot's power series needs more than 10^16 "
-                              "terms this close to 2*pi")
-    log_u = math.log(u) if u > 0 else -math.inf
-    v = u * u
-    log_eps = -wdps * math.log(10)
-
-    def reached(j):
-        M = 2 * j + 1
-        A = math.log(M + 3) + 2.5
-        return (math.log(2 * (1 + 2.0 ** -M) / (2 * math.pi)) + (M + 2) * log_u
-                + math.log(A / (1 - v) + 2 * v / ((M + 3) * (1 - v) ** 2))
-                <= log_eps)
-
-    least_m = ((log_eps - math.log((math.log(4) + 2.5) / (math.pi * (1 - v))))
-               / log_u - 2)
-    return least_index(reached, max(0, math.ceil((least_m - 1) / 2))) + 1
-
-
 @guarded
 def r_rot_value(t, dps: int = 50):
     """R^rot(t) numerically, for 0 < t < 2 pi:
 
         R^rot(t) = (gamma + log t)/t - sum_{m odd} w_m u^m,   u = t/(2 pi),
-        w_m = (-1)^{(m+1)/2} zeta'(-m) (2 pi)^m/m!.
+        w_m = (-1)^{(m+1)/2} zeta'(-m) (2 pi)^m/m!,
 
-    The w_m are O(log m) and t-independent.  They are kept in fixed point,
-    with scale 2^(prec + 20) at the working precision dps + GUARD_DPS, in a
-    table per working precision grown on demand (_r_rot_weights), and the
-    odd series is u times numerics.even_series_fixed at u.  The number of
-    terms is fixed before the sum, from the stated bound on |w_m|
-    (_r_rot_count): the dropped terms sum to at most 10^-(dps + GUARD_DPS).
-    The count grows like dps/log(2 pi/t), so near 2 pi both the table and
-    the sum grow without bound.
+    with zeta'(-m) the cached zeta_prime_neg(m, dps + GUARD_DPS).  The w_m
+    are O(log m) and t-independent: numerics.odd_series keeps them and sums
+    the odd series, to the term count numerics.odd_series_terms fixes
+    before the sum from |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), so the
+    dropped terms sum to at most 10^-(dps + GUARD_DPS) u.  The count grows
+    like dps/log(2 pi/t), so near 2 pi both the table and the sum grow
+    without bound.
     """
     tv = mp.mpf(t)
     if not 0 < tv < 2 * mp.pi:
         raise ValueError("r_rot_value needs 0 < t < 2*pi")
     wdps = dps + GUARD_DPS
     u = tv / (2 * mp.pi)
-    count = _r_rot_count(float(u), wdps)
-    bits = mp.mp.prec + 20
-    even = even_series_fixed(_r_rot_weights(count, wdps)[:count],
-                             int(mp.ldexp(u, bits)), bits)
-    return (mp.euler + mp.log(tv)) / tv - u * mp.ldexp(even, -bits)
+    count = odd_series_terms(float(u), wdps)
+    if count is None:  # t within about 2^-53 of 2 pi
+        raise ArithmeticError("R^rot's power series needs more than 10^16 "
+                              "terms this close to 2*pi")
+
+    def weights(start, stop):
+        for m in range(2 * start + 1, 2 * stop, 2):
+            yield ((-1) ** ((m + 1) // 2) * zeta_prime_neg(m, wdps)
+                   * (2 * mp.pi) ** m / mp.factorial(m))
+
+    series = odd_series("r_rot", weights, count, u)
+    return (mp.euler + mp.log(tv)) / tv - series
 
 
 def gs_r_series(order: int = DEFAULT_ORDER) -> LaurentSeries:

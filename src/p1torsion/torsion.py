@@ -26,8 +26,8 @@ from typing import Optional
 import mpmath as mp
 
 from .chowring import t_tilde_series
-from .numerics import (GUARD_DPS, LOG_T, ConstExpr, even_series_fixed,
-                       guarded, harmonic, least_index)
+from .numerics import (GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic,
+                       odd_series, odd_series_terms)
 from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
@@ -93,87 +93,39 @@ def _i_class_inner_coeff(m: int) -> Fraction:
     return harmonic(m) * zeta_neg(m) * sign / math.factorial(m)
 
 
-# working dps -> [w_1, w_3, w_5, ...], w_m = c_m (2 pi)^m with
-# c_m = _i_class_inner_coeff(m), as integers with scale 2^(prec + 20)
-_I_CLASS_COEFFS: dict[int, list] = {}
-
-
-def _i_class_coeffs(count: int, wdps: int) -> list:
-    """The first ``count`` odd-index weights of i_class_value at wdps
-    digits, from a table that grows on demand.  |w_m| = 2 H_m zeta(m+1)/(2 pi)
-    is O(1), the scale the fixed-point Horner sum needs."""
-    table = _I_CLASS_COEFFS.setdefault(wdps, [])
-    with mp.workdps(wdps):
-        bits = mp.mp.prec + 20
-        two_pi = 2 * mp.pi
-        for j in range(len(table), count):
-            m = 2 * j + 1
-            c = _i_class_inner_coeff(m)
-            table.append(int(mp.ldexp(mp.mpf(c.numerator) / c.denominator
-                                      * two_pi ** m, bits)))
-    return table
-
-
-def _i_class_last_index(tv, wdps: int) -> Optional[int]:
-    """The index m at which the terms of i_class_value fall below
-    10^-wdps, or None past I_CLASS_MAX_INDEX.
-
-    |H_m zeta(-m)/m!| = 2 H_m zeta(m+1)/(2 pi)^{m+1} with
-    zeta(m+1) <= 1 + 2^-m for m >= 7, so up to rounding the term at the m
-    found here, where the summation stops, is below 10^-wdps.  Past the
-    first odd m >= 7 where the log of that bound is below log eps, its step
-    2 log(t/(2 pi)) outweighs the growth of log H_m, which is below 1/m, so
-    the test stays true and numerics.least_index bisects for m, from the
-    m that H_m = H_7 would give.  H_m is taken from its asymptotic series,
-    within 1/(252 m^6) for m >= 7."""
-    log_ratio = math.log(float(abs(tv)) / (2 * math.pi))
-    log_eps = -wdps * math.log(10)
-
-    def below(j):
-        m = 2 * j + 1
-        h = (math.log(m) + 0.5772156649015329 + 1 / (2 * m)
-             - 1 / (12 * m * m) + 1 / (120 * m ** 4))
-        return (math.log(2 * h * (1 + 2.0 ** -m) / (2 * math.pi))
-                + m * log_ratio < log_eps)
-
-    last = (I_CLASS_MAX_INDEX - 1) // 2
-    least_m = (log_eps - math.log(363 / (140 * math.pi))) / log_ratio
-    j = least_index(below, min(last, max(3, math.floor((least_m - 1) / 2))),
-                    last)
-    return None if j is None else 2 * j + 1
-
-
 @guarded
 def i_class_value(ell: int, t, dps: int = 50):
     """Numeric I-class term for |t| < 2 pi, by its power series (the
     coefficients decay like (t/2pi)^m).
 
     The coefficients c_m = H_m zeta(-m) (-1)^{(m-1)/2}/m! come from exact
-    Bernoulli numbers.  They are kept as c_m (2 pi)^m in fixed point, in a
-    table per working precision dps + GUARD_DPS grown on demand.  The odd
-    series in u = t/(2 pi), |u| < 1, is u times an even one, which
-    numerics.even_series_fixed sums up to the index _i_class_last_index
-    finds, where the terms fall below 10^-(dps + GUARD_DPS); the factor u
-    stays in mpf, so small t keeps its relative precision.  Past index
-    I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError at once
-    and points to i_class_direct.
+    Bernoulli numbers.  The odd series in u = t/(2 pi), |u| < 1, has the
+    weights w_m = c_m (2 pi)^m, |w_m| = 2 H_m zeta(m+1)/(2 pi), all of one
+    sign; numerics.odd_series keeps them and sums the series, to the count
+    numerics.odd_series_terms fixes from the bound it shares with R^rot.
+    The dropped terms sum to at most 10^-(dps + GUARD_DPS) |u|, and since
+    the sum is at least |w_1 u| = (pi/6) |u|, that cut is relative.  Past
+    index I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError
+    at once and points to i_class_direct.
     """
     wdps = dps + GUARD_DPS
     tv = mp.mpf(t)
     if not 0 < abs(tv) < 2 * mp.pi:
         raise ValueError("i_class_value needs 0 < |t| < 2*pi")
-    last = _i_class_last_index(tv, wdps)
-    if last is None:
+    u = tv / (2 * mp.pi)
+    count = odd_series_terms(abs(float(u)), wdps)
+    if count is None or 2 * count - 1 > I_CLASS_MAX_INDEX:
         raise ConvergenceError(
             f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
             f"past t^{I_CLASS_MAX_INDEX} for {dps} digits; use "
             f"i_class_direct, whose cost does not grow near 2*pi")
-    count = (last + 1) // 2
-    bits = mp.mp.prec + 20
-    u = tv / (2 * mp.pi)
-    even = even_series_fixed(_i_class_coeffs(count, wdps)[:count],
-                             int(mp.ldexp(u, bits)), bits)
-    total = u * mp.ldexp(even, -bits)
+
+    def weights(start, stop):
+        for m in range(2 * start + 1, 2 * stop, 2):
+            c = _i_class_inner_coeff(m)
+            yield mp.mpf(c.numerator) / c.denominator * (2 * mp.pi) ** m
+
+    total = odd_series("i_class", weights, count, u)
     return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
@@ -241,10 +193,13 @@ def i_class_direct(ell: int, t, dps: int = 50):
 
     The terms k = +-1 stay direct logarithms; the tail over |k| >= 2 is
     sum_{n odd} 2 H_n zeta(n+1, 2) t^n/(2 pi)^{n+1}.  The two routes share
-    the harmonic numbers H_n and the fixed-point Horner sum
-    (numerics.even_series_fixed), but not their zeta values: this one
-    takes zeta(n+1, 2) from Euler-Maclaurin with weights 2 zeta(2i) from
-    mpmath, i_class_value takes zeta(-m) from exact Bernoulli numbers."""
+    the kernel numerics.odd_series (one table registry and one
+    fixed-point Horner sum, each route under its own key) and the harmonic
+    numbers H_n.  They do not share their zeta values: this one takes
+    zeta(n+1, 2) from Euler-Maclaurin with weights 2 zeta(2i) from mpmath,
+    i_class_value takes zeta(-m) from exact Bernoulli numbers.  Nor do they
+    share a term count: this one cuts its tail by bilateral_sum's geometric
+    bound, i_class_value by numerics.odd_series_terms."""
     tv = mp.mpf(t)
     if not 0 < abs(tv) < 2 * mp.pi:
         raise ValueError("i_class_direct needs 0 < |t| < 2*pi")

@@ -204,13 +204,12 @@ def test_uncalled_check_sees_a_stray_function():
     assert _uncalled_functions({"m": source}) == {"m.stray"}
 
 
-# The tables of the I-class routes, of bilateral_sum's tail, of R^rot and
-# of the Si/Ci Taylor sums, each built on first use; name -> expression for
-# its size
-TABLES = {"quadrature._ODD_TAILS": "len(quadrature._ODD_TAILS)",
-          "specfun._R_ROT_WEIGHTS": "len(specfun._R_ROT_WEIGHTS)",
+# The tables of the numeric routes, each built on first use: the odd-series
+# registry (R^rot, the I-class series, bilateral_sum's shift-0 tail), the
+# Si/Ci Taylor sums, the log-sum weights and the Euler-Maclaurin weights;
+# name -> expression for its size
+TABLES = {"numerics._ODD_SERIES": "len(numerics._ODD_SERIES)",
           "specfun._sici_taylor": "specfun._sici_taylor.cache_info().currsize",
-          "torsion._I_CLASS_COEFFS": "len(torsion._I_CLASS_COEFFS)",
           "torsion._LOG_SUM_WEIGHTS": "len(torsion._LOG_SUM_WEIGHTS)",
           "specfun._em_coeff_fixed":
               "specfun._em_coeff_fixed.cache_info().currsize"}
@@ -221,7 +220,7 @@ def test_import_builds_no_table():
         "import importlib\n"
         f"for name in {[p.stem for p in MODULES]!r}:\n"
         "    importlib.import_module('p1torsion.' + name)\n"
-        "from p1torsion import quadrature, specfun, torsion\n"
+        "from p1torsion import numerics, specfun, torsion\n"
         + "".join(f"print({name!r}, {size})\n"
                   for name, size in TABLES.items()))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -231,3 +230,27 @@ def test_import_builds_no_table():
     assert sizes.keys() == TABLES.keys()
     built = [name for name, size in sizes.items() if size != "0"]
     assert not built, "tables built at import: " + ", ".join(built)
+
+
+def _writes_fixed_scale(tree) -> bool:
+    """Whether the module forms prec + 20, the fixed-point scale that only
+    numerics.fixed_bits may name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            sides = (node.left, node.right)
+            if (any(isinstance(n, ast.Constant) and n.value == 20
+                    for n in sides)
+                    and any(isinstance(n, ast.Attribute) and n.attr == "prec"
+                            or isinstance(n, ast.Name) and n.id == "prec"
+                            for n in sides)):
+                return True
+    return False
+
+
+def test_fixed_point_scale_has_one_name():
+    writers = [p.name for p in MODULES if p.stem != "numerics"
+               and _writes_fixed_scale(ast.parse(p.read_text()))]
+    assert not writers, "prec + 20 outside numerics: " + ", ".join(writers)
+    assert _writes_fixed_scale(ast.parse((SRC / "numerics.py").read_text()))
+    assert _writes_fixed_scale(ast.parse("bits = mp.mp.prec + 20"))
+    assert not _writes_fixed_scale(ast.parse("bits = fixed_bits()"))

@@ -9,7 +9,7 @@ import types
 import pytest
 from mpmath import mp
 
-from p1torsion import specfun
+from p1torsion import numerics, specfun, torsion
 from p1torsion.numerics import GUARD_DPS
 from p1torsion.quadrature import IntegrandSpec, integrate
 
@@ -350,17 +350,34 @@ class TestRRot:
         with mp.workdps(dps + 20):
             assert abs(a + b) <= mp.mpf(10) ** -dps * max(1, abs(a))
 
-    def test_perturbed_weight_is_seen(self, monkeypatch):
-        # one weight moved by 2^-130 of itself, about 10^-39: the value
-        # leaves the oracle's bound
+    @pytest.mark.parametrize("route", ["r_rot_value", "i_class_value"])
+    def test_perturbed_weight_is_seen(self, route, monkeypatch):
+        # one weight of the odd-series registry moved by 2^-130 of itself,
+        # about 10^-39: the value leaves the bound of a reference that does
+        # not read that table (for the I-class series, the bilateral sum at
+        # 20 more digits)
         dps = 50
-        tv, want = _r_rot_oracle("2.9", dps)
+        if route == "r_rot_value":
+            key = "r_rot"
+            tv, want = _r_rot_oracle("2.9", dps)
+
+            def value():
+                return specfun.r_rot_value(tv, dps)
+        else:
+            key = "i_class"
+            tv = mp.mpf("2.9")
+            want = torsion.i_class_direct(2, tv, dps + 20)
+
+            def value():
+                return torsion.i_class_value(2, tv, dps)
         bound = mp.mpf(10) ** -dps * max(1, abs(want))
-        assert abs(specfun.r_rot_value(tv, dps) - want) <= bound
-        table = list(specfun._R_ROT_WEIGHTS[dps + GUARD_DPS])
+        assert abs(value() - want) <= bound
+        with mp.workdps(dps + GUARD_DPS):
+            entry = (key, mp.prec)
+        table = list(numerics._ODD_SERIES[entry])
         table[5] += table[5] >> 130
-        monkeypatch.setitem(specfun._R_ROT_WEIGHTS, dps + GUARD_DPS, table)
-        assert abs(specfun.r_rot_value(tv, dps) - want) > bound
+        monkeypatch.setitem(numerics._ODD_SERIES, entry, table)
+        assert abs(value() - want) > bound
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ independent route (special-function values and quadrature on one side,
 exact series coefficients on the other).
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import time
 from mpmath import mp
 import pytest
 
-from p1torsion import quadrature, specfun, torsion
+from p1torsion import numerics, quadrature, specfun, torsion
 from p1torsion.numerics import GUARD_DPS
 from p1torsion.torsion import CancellationError, ConvergenceError
 
@@ -72,28 +71,28 @@ class TestGroupTorsion:
 
 
 class TestIClass:
-    @pytest.mark.parametrize("dps", [50, 100, 200])
-    def test_last_index_equals_the_loop(self, dps):
-        # the loop _i_class_last_index replaced, with the bound's test at
-        # every odd m past 5, on a t grid: the test never turns false
-        # again once true, and the bisection finds the loop's m
-        wdps = dps + GUARD_DPS
-        log_eps = -wdps * math.log(10)
-        for j in range(1, 126):
-            t = j / 20
-            log_ratio = math.log(t / (2 * math.pi))
-            h, tests = 1.0, []
-            for m in range(1, torsion.I_CLASS_MAX_INDEX + 1, 2):
-                if m > 1:
-                    h += 1 / (m - 1) + 1 / m
-                if m > 5:
-                    tests.append((m, math.log(2 * h * (1 + 2.0 ** -m)
-                                              / (2 * math.pi))
-                                  + m * log_ratio < log_eps))
-            first = next((m for m, below in tests if below), None)
-            assert all(below for m, below in tests if first and m >= first)
-            for tv in (mp.mpf(t), -mp.mpf(t)):
-                assert torsion._i_class_last_index(tv, wdps) == first, t
+    def test_one_bound_serves_both_series(self):
+        # numerics.odd_series_terms counts the terms of R^rot and of the
+        # I-class series from |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi);
+        # every table entry through m = 201 at dps 50 meets it, and the
+        # I-class weights share one sign, so their sum is at least |w_1|
+        # and a cut at 10^-wdps |u| is relative
+        dps = 50
+        specfun.r_rot_value("3.5", dps)
+        torsion.i_class_value(0, "3.5", dps)
+        with mp.workdps(dps + GUARD_DPS):
+            prec = mp.prec
+            scale = mp.ldexp(1, -numerics.fixed_bits())
+            tables = {key: numerics._ODD_SERIES[key, prec][:101]
+                      for key in ("r_rot", "i_class")}
+            for key, table in tables.items():
+                assert len(table) == 101, key
+                for j, w in enumerate(table):
+                    m = 2 * j + 1
+                    bound = (2 * mp.zeta(m + 1) * (mp.log(m + 1) + 2.5)
+                             / (2 * mp.pi))
+                    assert abs(w) * scale <= bound, (key, m)
+        assert all(w < 0 for w in tables["i_class"])
 
     @pytest.mark.parametrize("t", ["0.6", "1.7"])
     def test_value_matches_direct_bilateral_sum(self, t):
@@ -120,7 +119,8 @@ class TestIClass:
                 assert abs(a - b) <= mp.mpf(10) ** -dps * max(1, abs(a))
 
     @pytest.mark.parametrize("route", ["i_class_value", "i_class_direct"])
-    @pytest.mark.parametrize("t", ["1e-20", "-1e-20", "1e-80"])
+    @pytest.mark.parametrize("t", ["1e-20", "-1e-20", "1e-80", "1e-400",
+                                   "-1e-400"])
     def test_small_t_keeps_relative_precision(self, route, t):
         # the inner sum is O(t) and the prefactor O(1/t): an error bounded
         # only in absolute terms would show here.  Reference: the power
@@ -229,7 +229,7 @@ class TestPrecisionTables:
             return hurwitz(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "hurwitz_zeta_values", counted)
-        monkeypatch.setattr(quadrature, "_ODD_TAILS", {})
+        monkeypatch.setattr(numerics, "_ODD_SERIES", {})
         for j in range(10):
             torsion.i_class_direct(j - 3, mp.mpf("0.3") + j * mp.mpf("0.6"),
                                    dps=50)
@@ -252,9 +252,8 @@ class TestPrecisionTables:
                                capture_output=True, text=True,
                                check=True).stdout.split("\n")
 
-        monkeypatch.setattr(quadrature, "_ODD_TAILS", {})
+        monkeypatch.setattr(numerics, "_ODD_SERIES", {})
         monkeypatch.setattr(torsion, "_LOG_SUM_WEIGHTS", {})
-        monkeypatch.setattr(torsion, "_I_CLASS_COEFFS", {})
         mp.dps = 15
         got = {}
         for dps in (100, 50, 100):
