@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .numerics import (ConstExpr, ONE_EXPR, const_to_json, parts_coeff,
                        parts_from, parts_keys, parts_product, parts_scale,
-                       parts_select, parts_sum)
+                       parts_sum)
 from .series import LaurentSeries, build_cos_scaled, build_inv_sin_half
 from .specfun import bernoulli, gs_r_alt_series, gs_r_series
 
@@ -88,11 +88,6 @@ class BaseClass:
 
     def is_zero(self) -> bool:
         return not self._parts
-
-    def graded_part(self, degree: int) -> "BaseClass":
-        return BaseClass._make(
-            parts_select(self._parts, lambda k: k if _degree(k) == degree else None),
-            self.cap)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BaseClass):

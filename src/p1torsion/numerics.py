@@ -16,7 +16,7 @@ part makes cancellations exact set-differences rather than numeric near-zeros.
 Working precision is set in one place, the ``guarded`` decorator: every
 numeric entry point of the package takes the number of digits ``dps`` it
 returns, works at dps + GUARD_DPS and rounds its result to dps.  Only the
-Euler-Maclaurin weights of specfun.hurwitz_zeta_values and the Si/Ci Taylor
+Euler-Maclaurin weights of specfun (_em_weights) and the Si/Ci Taylor
 series (which needs more digits as its argument grows) set a precision of
 their own.
 
@@ -24,9 +24,11 @@ The kernels of the numeric routes of specfun, quadrature and torsion:
 
   * fixed_bits: the one fixed-point format, integers with scale
     2^(prec + 20) at the working precision;
-  * odd_series: u sum_j w_j u^{2j} for t-independent weights w_j, kept as
-    fixed-point integers in one table registry per (key, working
-    precision) and summed by Horner in Python integers
+  * fixed_table: the one registry of weight tables in that format, per
+    (key, working precision), grown on demand: the odd series below and
+    the Euler-Maclaurin weights of specfun;
+  * odd_series: u sum_j w_j u^{2j} for t-independent weights w_j, kept in
+    fixed_table and summed by Horner in Python integers
     (even_series_fixed, within one unit of 2^-(prec + 20) a step; Brent
     and Zimmermann, Modern Computer Arithmetic, 2010); R^rot, the I-class
     series and the shift-0 tail of quadrature.bilateral_sum state only
@@ -107,28 +109,40 @@ def fixed_bits() -> int:
     return mp.mp.prec + 20
 
 
-# (key, working precision in bits) -> [w_0, w_1, ...] of an odd series,
-# as integers with scale 2^fixed_bits()
-_ODD_SERIES: dict[tuple, list] = {}
+# (key, working precision in bits) -> [w_0, w_1, ...]: weights of the
+# numeric series that do not depend on their argument, as integers with
+# scale 2^fixed_bits()
+_TABLES: dict[tuple, list] = {}
+
+
+def fixed_table(key, weights: Callable, count: int) -> list:
+    """The table under (key, current working precision), holding at least
+    count fixed-point entries with scale 2^fixed_bits().
+
+    weights(start, stop) gives the mpf w_j for start <= j < stop (or more)
+    when the table is too short; a key names one table, so every call under
+    it must pass the same weights.  The conversion to fixed point only
+    truncates toward zero, so weights built above the working precision
+    keep every bit the scale holds."""
+    table = _TABLES.setdefault((key, mp.mp.prec), [])
+    if len(table) < count:
+        bits = fixed_bits()
+        table.extend(int(mp.ldexp(w, bits))
+                     for w in weights(len(table), count))
+    return table
 
 
 def odd_series(key, weights: Callable, count: int, u):
     """u sum_{j<count} w_j u^{2j} in mpf, |u| <= 1, at the current working
     precision, for weights w_j that do not depend on u.
 
-    The w_j are kept in one table per (key, working precision) as
-    fixed-point integers, and weights(start, stop) gives the mpf w_j for
-    start <= j < stop (or more) when the table is too short; a key names
-    one series, so every call under it must pass the same weights.  The
-    even sum is even_series_fixed at u, within count units of 2^-bits, an
-    absolute error: the callers scale their weights to at most O(j), with a
-    sum that is not small.  The factor u stays in mpf, so the result keeps
-    its relative precision however small u is."""
+    The w_j are kept in fixed_table under key.  The even sum is
+    even_series_fixed at u, within count units of 2^-bits, an absolute
+    error: the callers scale their weights to at most O(j), with a sum that
+    is not small.  The factor u stays in mpf, so the result keeps its
+    relative precision however small u is."""
     bits = fixed_bits()
-    table = _ODD_SERIES.setdefault((key, mp.mp.prec), [])
-    if len(table) < count:
-        table.extend(int(mp.ldexp(w, bits))
-                     for w in weights(len(table), count))
+    table = fixed_table(key, weights, count)
     even = even_series_fixed(table[:count], int(mp.ldexp(u, bits)), bits)
     return u * mp.ldexp(even, -bits)
 

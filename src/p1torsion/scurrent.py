@@ -54,22 +54,25 @@ class TestProfile:
     def from_string(text: str) -> "TestProfile":
         """Parse profiles like "r^2", "1", "r^2 + 3*r^4", "-1/4*r^2"."""
         poly: dict[int, Fraction] = {}
-        for piece in text.replace("-", "+-").split("+"):
-            piece = piece.strip().replace(" ", "")
-            if not piece:
-                continue
-            coeff, deg = Fraction(1), 0
-            if "r" in piece:
-                head, _, tail = piece.partition("r")
-                head = head.rstrip("*")
-                if head in ("", "-"):
-                    coeff = Fraction(head + "1")
+        try:
+            for piece in text.replace("-", "+-").split("+"):
+                piece = piece.strip().replace(" ", "")
+                if not piece:
+                    continue
+                coeff, deg = Fraction(1), 0
+                if "r" in piece:
+                    head, _, tail = piece.partition("r")
+                    head = head.rstrip("*")
+                    if head in ("", "-"):
+                        coeff = Fraction(head + "1")
+                    else:
+                        coeff = Fraction(head)
+                    deg = int(tail.lstrip("^")) if tail else 1
                 else:
-                    coeff = Fraction(head)
-                deg = int(tail.lstrip("^")) if tail else 1
-            else:
-                coeff = Fraction(piece)
-            poly[deg] = poly.get(deg, Fraction(0)) + coeff
+                    coeff = Fraction(piece)
+                poly[deg] = poly.get(deg, Fraction(0)) + coeff
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
         return TestProfile(poly=poly)
 
     @property
@@ -105,10 +108,10 @@ def _log_weight_symbolic() -> ConstExpr:
 
 @guarded
 def s_pairing_integral(profile: TestProfile, t, dps: int = 50):
-    """Integral form of the S-current pairing at parameter t != 0."""
+    """Integral form of the S-current pairing at a finite parameter t != 0."""
     tv = mp.mpf(t)
-    if tv == 0:
-        raise ValueError("s_pairing_integral needs t != 0")
+    if tv == 0 or not mp.isfinite(tv):
+        raise ValueError("s_pairing_integral needs a finite t != 0")
     g1 = mp.mpf(profile.value(1))
 
     def integrand(r):

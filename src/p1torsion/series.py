@@ -69,11 +69,6 @@ class LaurentSeries:
         return LaurentSeries({}, 0, order)
 
     @staticmethod
-    def constant(c, order: int = DEFAULT_ORDER) -> "LaurentSeries":
-        expr = c if isinstance(c, ConstExpr) else ConstExpr.rational(c)
-        return LaurentSeries({0: expr}, 0, order)
-
-    @staticmethod
     def monomial(degree: int, c=1, order: int = DEFAULT_ORDER) -> "LaurentSeries":
         expr = c if isinstance(c, ConstExpr) else ConstExpr.rational(c)
         return LaurentSeries({degree: expr}, min(degree, 0), max(order, degree))
@@ -220,14 +215,14 @@ class LaurentSeries:
     # -- evaluation ----------------------------------------------------------------
 
     @guarded
-    def evaluate(self, t, logt=None, dps: int = 50):
-        """Numeric value sum a_m t^m; needs t != 0 when poles are present."""
+    def evaluate(self, t, dps: int = 50):
+        """Numeric value sum a_m t^m, with LOG_T = log t for t > 0; needs
+        t != 0 when poles are present."""
         degrees = self.degrees()
         tv = mp.mpf(t)
         if tv == 0 and self.min_degree < 0 and any(d < 0 for d in degrees):
             raise ZeroDivisionError("evaluating a pole at t = 0")
-        if logt is None and tv > 0:
-            logt = mp.log(tv)
+        logt = mp.log(tv) if tv > 0 else None
         total = mp.mpf(0)
         for d in degrees:
             total += self.coeff(d).eval(dps=dps + GUARD_DPS, logt_value=logt) * tv ** d

@@ -2,9 +2,10 @@
 
 Provides exact Bernoulli numbers and zeta values at non-positive integers,
 high-precision zeta derivatives there, Hurwitz zeta values (many integer s
-in one pass), the Lerch zeta function and its s-derivative at negative
-integers, the sine and cosine integrals, the value of the
-rotation-equivariant R^rot(t), and the (non-equivariant) R-class series.
+in one pass) and the Stieltjes constant gamma_1(a), the Lerch zeta function
+and its s-derivative at negative integers, the sine and cosine integrals,
+the value of the rotation-equivariant R^rot(t), and the (non-equivariant)
+R-class series.
 
 The Lerch continuation runs through Hurwitz's formula
 
@@ -19,11 +20,18 @@ The numeric series sum in fixed point: Python integers with scale 2^bits,
 bits = numerics.fixed_bits() at the working precision.  Tables, bounds and
 stops:
 
-  * hurwitz_zeta_values: the Euler-Maclaurin weights 2 zeta(2i)
-    (_em_coeff_fixed, cached per (i, bits)); the remainder after J
-    corrections is below 4 X (s)_{2J-1}/(2 pi X)^{2J}, and the shift M is
-    the least one at which every s meets 10^-wdps (_em_shift, by
-    bisection).
+  * hurwitz_zeta_values and stieltjes_gamma1, one Euler-Maclaurin pass
+    (_em_terms): the weights (-1)^{i+1} 2 zeta(2i) (_em_weights) live in
+    the numerics.fixed_table registry under "euler_maclaurin", one table
+    per working precision, built at bits + 10 as entries are first needed.
+    With X = a + M, the remainder after J corrections is below
+    4 X (s)_{2J-1}/(2 pi X)^{2J} for zeta(s, a), and below
+    4 (2J-1)! (log X + H_{2J} + 1/(2J))/(2 pi X)^{2J} for gamma_1(a), the
+    s = 1 column with the weight log X - H_{2i-1}.  Each stops at the first J
+    whose bound meets 10^-wdps (relative to X^{1-s}/(s-1) for zeta,
+    absolute for gamma_1).  The shift M is the least one at which every s
+    can get there (_em_shift, by bisection, J about pi X); gamma_1 takes
+    the shift of zeta(2, a), whose bound is the larger.
   * r_rot_value: states its weights w_m = (-1)^{(m+1)/2} zeta'(-m)
     (2 pi)^m/m!, built from the cached zeta_prime_neg values;
     numerics.odd_series keeps them in its table registry and sums them, to
@@ -44,8 +52,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import (GUARD_DPS, ConstExpr, fixed_bits, guarded, harmonic,
-                       least_index, odd_series, odd_series_terms)
+from .numerics import (GUARD_DPS, ConstExpr, fixed_bits, fixed_table, guarded,
+                       harmonic, least_index, odd_series, odd_series_terms)
 from .series import DEFAULT_ORDER, LaurentSeries
 
 
@@ -140,14 +148,37 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
     return head + pole + mid + tail
 
 
-@lru_cache(maxsize=None)
-def _em_coeff_fixed(i: int, bits: int) -> int:
-    """B_{2i} (2 pi)^{2i}/(2i)! = (-1)^{i+1} 2 zeta(2i), as a fixed-point
-    integer with scale 2^bits, taken from zeta(2i) itself: no Bernoulli
-    number is built, and zeta(2i) - 1 < 2^{1-2i} comes from a few powers
-    once i is moderate."""
-    with mp.workprec(bits + 10):
-        return (-1) ** (i + 1) * int(mp.ldexp(2 * mp.zeta(2 * i), bits))
+def _em_weights(start: int, stop: int) -> list:
+    """B_{2i} (2 pi)^{2i}/(2i)! = (-1)^{i+1} 2 zeta(2i) for start < i <= stop,
+    the Euler-Maclaurin weights, at 10 bits above the fixed-point scale.
+    They come from zeta(2i) itself: no Bernoulli number is built, and
+    zeta(2i) - 1 < 2^{1-2i} comes from a few powers once i is moderate."""
+    with mp.workprec(fixed_bits() + 10):
+        return [(-1) ** (i + 1) * 2 * mp.zeta(2 * i)
+                for i in range(start + 1, stop + 1)]
+
+
+def _em_terms(s: int, X, inv_y2: int):
+    """(w_i, X (s)_{2i-1}/(2 pi X)^{2i}) for i = 1, 2, ..., in fixed point,
+    given inv_y2 = 1/(2 pi X)^2 in fixed point, which a pass computes once;
+    w_i are the _em_weights, kept in the numerics.fixed_table registry.
+
+    Their product is the i-th Euler-Maclaurin correction of X^s zeta(s, X),
+    and four times the second bounds the remainder after i corrections.
+    Each step floors once, and multiplies the earlier error by less than 1
+    while s + 2i <= 2 pi X.  Past that the terms grow, and this raises
+    ArithmeticError; _em_shift rules that out."""
+    bits = fixed_bits()
+    scaled = s * int(mp.ldexp(X, bits)) * inv_y2 >> bits
+    weights = []
+    # s + 2i - 1 <= 2 pi X, from (2 pi X)^2 = 1/inv_y2 in integers, as X
+    # may lie past the float range
+    for i in range(1, (math.isqrt((1 << bits) // (inv_y2 or 1)) - s + 3) // 2):
+        if i > len(weights):  # a registry lookup per growth, not per term
+            weights = fixed_table("euler_maclaurin", _em_weights, i)
+        yield weights[i - 1], scaled
+        scaled = scaled * ((s + 2 * i - 1) * (s + 2 * i)) * inv_y2 >> bits
+    raise ArithmeticError(f"Euler-Maclaurin at s = {s} stopped converging")
 
 
 def _em_shift(a: float, ss, wdps: int) -> int:
@@ -187,9 +218,9 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
     all s.  Both sums are O(1) and run in fixed point.  Since
     |B~_{2J}(x)| <= |B_{2J}| <= 4 (2J)!/(2 pi)^{2J}, the remainder of E_s
     after J corrections is at most 4 X (s)_{2J-1}/(2 pi X)^{2J} (Johansson,
-    Numer. Algorithms 2015).  Each s takes corrections until that is below
-    10^-(dps + GUARD_DPS) X/(s-1); M is the least shift at which every s
-    can get there.  Every value is good to 10^-dps relative.
+    Numer. Algorithms 2015).  Each s takes corrections (_em_terms) until
+    that is below 10^-(dps + GUARD_DPS) X/(s-1); M is the least shift at
+    which every s can get there.  Every value is good to 10^-dps relative.
     """
     ss = sorted(set(ss))
     if not ss or ss[0] < 2 or any(int(s) != s for s in ss):
@@ -218,27 +249,16 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
 
     x_fixed = fixed(X)
     inv_y2 = fixed(1 / (2 * mp.pi * X) ** 2)
-    turn = float(2 * mp.pi * X)  # the bound grows past s + 2i - 1 = turn
     eps = mp.mpf(10) ** -wdps
     correction = {}
     for s in ss:
         lead = x_fixed // (s - 1)
         total = lead + (1 << (bits - 1))
         target = int(eps * lead)
-        # X (s)_{2i-1}/(2 pi X)^{2i}; times B_{2i}(2 pi)^{2i}/(2i)! it is
-        # the i-th correction, and four times it bounds the remainder
-        scaled = s * x_fixed * inv_y2 >> bits
-        i = 1
-        while True:
-            total += _em_coeff_fixed(i, bits) * scaled >> bits
+        for weight, scaled in _em_terms(s, X, inv_y2):
+            total += weight * scaled >> bits
             if 4 * scaled <= target:
                 break
-            scaled = (scaled * ((s + 2 * i - 1) * (s + 2 * i)) * inv_y2
-                      >> bits)
-            i += 1
-            if s + 2 * i - 1 > turn:
-                raise ArithmeticError(  # _em_shift rules this out
-                    f"Euler-Maclaurin for zeta({s}, a) stopped converging")
         correction[s] = total
 
     values = {}
@@ -254,33 +274,48 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
 
 @guarded
 def stieltjes_gamma1(a, dps: int = 50):
-    """Generalized Stieltjes constant gamma_1(a).
+    """The generalized Stieltjes constant gamma_1(a), a > 0: the s = 1
+    column of hurwitz_zeta_values' pass, for f(x) = log(x)/x.
 
-    gamma_1(a) = lim_N [sum_{n=0}^{N} log(n+a)/(n+a) - log^2(N+a)/2],
-    accelerated by Euler-Maclaurin corrections for f(x) = log(x)/x, whose
-    derivatives are f^{(n)}(x) = (-1)^n n! (log x - H_n)/x^{n+1}.
+    With X = a + M >= 1 and f^{(n)}(x) = (-1)^n n! (log x - H_n)/x^{n+1},
+        gamma_1(a) = sum_{j<M} log(a+j)/(a+j) - log^2 X/2 + log X/(2X)
+                     + sum_{i<=J} B_{2i}/(2i) (log X - H_{2i-1})/X^{2i},
+    and the i-th correction is w_i X (2i-1)!/(2 pi X)^{2i} (log X - H_{2i-1})
+    over X, from _em_terms at s = 1.  Since |B~_{2J}(x)| <=
+    4 (2J)!/(2 pi)^{2J} and log x >= 0, the remainder after J corrections
+    is at most
+
+        4 (2J-1)! (log X + H_{2J} + 1/(2J))/(2 pi X)^{2J},
+
+    below 4 (2J-1)! (log X + H_{2J} + 1)/(2 pi X)^{2J} (Blagouchine,
+    J. Number Theory 2015).  The corrections run in fixed point until the
+    first is below 10^-(dps + GUARD_DPS).  M is the shift _em_shift finds
+    for zeta(2, a), which gets there: at every X >= 1 and the J that search
+    takes, 2J >= log X + H_{2J} + 1, so the bound 4 (2J)!/(2 pi X)^{2J} of
+    zeta(2, a) is the larger one.  The M direct terms are summed in mpf.
+    The value is good to 10^-dps max(1, |gamma_1(a)|).
     """
     a = mp.mpf(a)
-    N = int(1.4 * (dps + GUARD_DPS)) + 10
-    X = N + a
-    logX = mp.log(X)
-    total = mp.fsum(mp.log(n + a) / (n + a) for n in range(N))
-    total -= logX ** 2 / 2
-    total += logX / (2 * X)  # the f(X)/2 endpoint term
-    prev = mp.inf
-    for j in range(1, dps + GUARD_DPS):
-        b = bernoulli(2 * j)
-        coeff = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-        h = harmonic(2 * j - 1)
-        deriv = -mp.factorial(2 * j - 1) * (logX - mp.mpf(h.numerator) / h.denominator) / X ** (2 * j)
-        term = -coeff * deriv
-        if abs(term) > prev:
+    if not a > 0:
+        raise ValueError("stieltjes_gamma1 needs a > 0")
+    M = _em_shift(min(float(a), 1e15), [2], dps + GUARD_DPS)  # 0 past 1e15
+    X = a + M
+    log_x = mp.log(X)
+    bits = fixed_bits()
+    log_fixed = int(mp.ldexp(log_x, bits))
+    # the bound is taken times X, as the corrections are
+    target = int(mp.ldexp(mp.mpf(10) ** -(dps + GUARD_DPS) * X, 2 * bits))
+    inv_y2 = int(mp.ldexp(1 / (2 * mp.pi * X) ** 2, bits))
+    total = 0
+    for i, (weight, scaled) in enumerate(_em_terms(1, X, inv_y2), 1):
+        h = harmonic(2 * i - 1)
+        h = (h.numerator << bits) // h.denominator  # H_{2i-1} in fixed point
+        total += weight * scaled * (log_fixed - h) >> 2 * bits
+        # the stated bound: H_{2i} + 1/(2i) = H_{2i-1} + 1/i
+        if 4 * scaled * (log_fixed + h + (1 << bits) // i) <= target:
             break
-        total += term
-        prev = abs(term)
-        if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
-            break
-    return total
+    return (mp.fsum(mp.log(a + j) / (a + j) for j in range(M))
+            - log_x ** 2 / 2 + log_x / (2 * X) + mp.ldexp(total, -bits) / X)
 
 
 # ---------------------------------------------------------------------------

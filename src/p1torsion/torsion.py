@@ -129,22 +129,17 @@ def i_class_value(ell: int, t, dps: int = 50):
     return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
-# working dps -> [(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, 2, ...]
-_LOG_SUM_WEIGHTS: dict[int, list] = {}
-
-
 def _log_sum_weights(count: int, wdps: int) -> list:
     """(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, ..., count at wdps digits:
-    the expansion weights of bilateral_log_sum, from a table per working
-    precision that grows on demand."""
-    table = _LOG_SUM_WEIGHTS.setdefault(wdps, [])
+    the expansion weights of bilateral_log_sum."""
+    weights = []
     with mp.workdps(wdps):
         inv_two_pi = 1 / (2 * mp.pi)
-        for n in range(len(table) + 1, count + 1):
+        for n in range(1, count + 1):
             h = harmonic(n)
-            table.append((-1) ** (n + 1) * inv_two_pi ** (n + 1)
-                         * h.numerator / h.denominator)
-    return table
+            weights.append((-1) ** (n + 1) * inv_two_pi ** (n + 1)
+                           * h.numerator / h.denominator)
+    return weights
 
 
 @guarded
@@ -157,9 +152,9 @@ def bilateral_log_sum(s, x, dps: int = 50):
     sum_{n>=1} (-1)^{n+1} H_n x^n d^{-n-1}; quadrature.bilateral_sum sums
     |k| <= K directly and takes the rest from this expansion, in Hurwitz
     zeta values at shift s/(2 pi), to a bound below 10^-(dps + GUARD_DPS).
-    The weights H_n/(2 pi)^{n+1} do not depend on s or x and are kept per
-    precision (_log_sum_weights); at s = 0 bilateral_sum also keeps their
-    products with the Hurwitz values, in fixed point.
+    The weights H_n/(2 pi)^{n+1} (_log_sum_weights) do not depend on s or
+    x; at s = 0 bilateral_sum keeps their products with the Hurwitz
+    values, in fixed point.
     """
     two_pi = 2 * mp.pi
     sv = shift = mp.mpf(0)

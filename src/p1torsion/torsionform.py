@@ -36,9 +36,6 @@ class TorsionFormClass:
     ell: int
     order: int
 
-    def degree_part(self, degree: int) -> BaseClass:
-        return self.base.graded_part(degree)
-
     def to_json(self) -> dict:
         return self.base.to_json()
 

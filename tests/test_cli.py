@@ -102,13 +102,21 @@ class TestScurrent:
         assert code == 2
         assert "usage error" in err
 
-    @pytest.mark.parametrize("profile", ["x^2", "r^2*3"])
+    @pytest.mark.parametrize("profile", ["x^2", "r^2*3", "1/0"])
     def test_unparseable_profile_usage_error(self, capsys, profile):
         code, out, err = run_cli(capsys, "scurrent", "--profile", profile,
                                  "--t", "1.0")
         assert code == 2
         assert out == ""
         assert "usage error" in err
+
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_t_is_domain_error(self, capsys, t):
+        code, out, err = run_cli(capsys, "scurrent", "--profile", "r^2",
+                                 f"--t={t}")
+        assert code == 1
+        assert out == ""
+        assert "needs a finite t" in err
 
 
 class TestTwoParam:

@@ -164,20 +164,41 @@ def _referenced(node, skip=None):
             yield name
 
 
+def _is_plain_method(node) -> bool:
+    """Whether a class-body node is a method other than a dunder or a
+    property."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not any(isinstance(d, ast.Name) and d.id == "property"
+                        or isinstance(d, ast.Attribute) and d.attr == "setter"
+                        for d in node.decorator_list))
+
+
 def _uncalled_functions(sources):
-    """module.function for every top-level function in sources (module name
-    -> source text) whose name no module refers to outside the function's
-    own body."""
+    """module.function for every top-level function, and module.Class.method
+    for every method of a top-level class but dunders and properties, in
+    sources (module name -> source text) whose name no module refers to
+    outside the function's own body."""
     defined, used = set(), set()
     for module, text in sources.items():
         for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if _is_plain_method(item):
+                        defined.add((module, f"{node.name}.{item.name}"))
+                        used.update(_referenced(item, skip=item.name))
+                    else:
+                        used.update(_referenced(item))
+                for part in node.bases + node.keywords + node.decorator_list:
+                    used.update(_referenced(part))
+                continue
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 own = node.name
                 defined.add((module, own))
             used.update(_referenced(node, skip=own))
     return {f"{module}.{name}" for module, name in defined
-            if name not in used}
+            if name.rpartition(".")[2] not in used}
 
 
 def test_every_uncalled_function_is_an_entry_point():
@@ -204,15 +225,21 @@ def test_uncalled_check_sees_a_stray_function():
     assert _uncalled_functions({"m": source}) == {"m.stray"}
 
 
-# The tables of the numeric routes, each built on first use: the odd-series
-# registry (R^rot, the I-class series, bilateral_sum's shift-0 tail), the
-# Si/Ci Taylor sums, the log-sum weights and the Euler-Maclaurin weights;
-# name -> expression for its size
-TABLES = {"numerics._ODD_SERIES": "len(numerics._ODD_SERIES)",
-          "specfun._sici_taylor": "specfun._sici_taylor.cache_info().currsize",
-          "torsion._LOG_SUM_WEIGHTS": "len(torsion._LOG_SUM_WEIGHTS)",
-          "specfun._em_coeff_fixed":
-              "specfun._em_coeff_fixed.cache_info().currsize"}
+def test_uncalled_check_sees_a_stray_method():
+    source = ("class C:\n"
+              "    def __init__(self):\n        self.x = self.used()\n"
+              "    def used(self):\n        return 1\n"
+              "    def stray(self):\n        return self.stray()\n"
+              "    @property\n    def size(self):\n        return 1\n")
+    assert _uncalled_functions({"m": source}) == {"m.C.stray"}
+
+
+# The tables of the numeric routes, each built on first use: the fixed-point
+# registry (R^rot, the I-class series, bilateral_sum's shift-0 tail, the
+# Euler-Maclaurin weights) and the Si/Ci Taylor sums; name -> expression
+# for its size
+TABLES = {"numerics._TABLES": "len(numerics._TABLES)",
+          "specfun._sici_taylor": "specfun._sici_taylor.cache_info().currsize"}
 
 
 def test_import_builds_no_table():
@@ -220,7 +247,7 @@ def test_import_builds_no_table():
         "import importlib\n"
         f"for name in {[p.stem for p in MODULES]!r}:\n"
         "    importlib.import_module('p1torsion.' + name)\n"
-        "from p1torsion import numerics, specfun, torsion\n"
+        "from p1torsion import numerics, specfun\n"
         + "".join(f"print({name!r}, {size})\n"
                   for name, size in TABLES.items()))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -230,6 +257,45 @@ def test_import_builds_no_table():
     assert sizes.keys() == TABLES.keys()
     built = [name for name, size in sizes.items() if size != "0"]
     assert not built, "tables built at import: " + ", ".join(built)
+
+
+# The callers of the exact Bernoulli numbers: the exact layer, and
+# hurwitz_zeta until the k >= 1 Lerch path that calls it goes (ROADMAP
+# item 3).  The numeric routes take 2 zeta(2i) in their place.
+BERNOULLI_CALLERS = {"specfun.zeta_neg", "series.build_inv_sin_half",
+                     "chowring.todd_coefficients", "specfun.hurwitz_zeta"}
+
+
+def _callers(sources, callee):
+    """module.function (module.Class.method for a method) for every
+    top-level function or method of a top-level class in sources (module
+    name -> source text) that calls callee, by name or as an attribute;
+    a call outside any function counts as module.<module> or
+    module.Class.<class>."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            name = getattr(node, "name", "<module>")
+            members = [(name, node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{name}.{getattr(item, 'name', '<class>')}", item)
+                           for item in node.body]
+            for name, member in members:
+                for sub in ast.walk(member):
+                    if isinstance(sub, ast.Call) and callee in (
+                            getattr(sub.func, "id", None),
+                            getattr(sub.func, "attr", None)):
+                        found.add(f"{module}.{name}")
+    return found
+
+
+def test_bernoulli_callers_are_pinned():
+    callers = _callers({p.stem: p.read_text() for p in MODULES}, "bernoulli")
+    assert callers == BERNOULLI_CALLERS
+    assert _callers({"m": "class C:\n    def f(self):\n"
+                          "        return s.bernoulli(2)\n"
+                          "def g():\n    return bernoulli\n"},
+                    "bernoulli") == {"m.C.f"}
 
 
 def _writes_fixed_scale(tree) -> bool:

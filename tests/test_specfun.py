@@ -88,14 +88,18 @@ class TestHurwitz:
     @pytest.mark.parametrize("bits", [200, 720])
     def test_em_weights_match_the_bernoulli_form(self, bits):
         # (-1)^{i+1} 2 zeta(2i) against B_{2i} (2 pi)^{2i}/(2i)!, the form
-        # the weights took from exact Bernoulli numbers
+        # the weights took from exact Bernoulli numbers; the registry keeps
+        # them at scale 2^bits for the working precision bits - 20
+        with mp.workprec(bits - 20):
+            table = numerics.fixed_table("euler_maclaurin",
+                                         specfun._em_weights, 60)
         for i in range(1, 61):
             b = specfun.bernoulli(2 * i)
             with mp.workprec(bits + 10):
                 value = (mp.mpf(b.numerator) * (2 * mp.pi) ** (2 * i)
                          / (b.denominator * math.factorial(2 * i)))
                 want = int(mp.ldexp(value, bits))
-            assert abs(specfun._em_coeff_fixed(i, bits) - want) <= 2
+            assert abs(table[i - 1] - want) <= 2
 
     def test_values_need_integer_s_above_one(self):
         for ss in ([], [1, 2], [2.5]):
@@ -135,6 +139,101 @@ class TestHurwitz:
         mp.dps = 40
         got = specfun.stieltjes_gamma1(mp.mpf(1), dps=40)
         assert abs(got - mp.stieltjes(1)) < mp.mpf(10) ** -35
+
+
+GAMMA1_POINTS = ["1e-6", "0.01", "0.3", "0.5", "0.97", "1-1e-6"]
+
+
+def _gamma1_input(a, dps):
+    """The point a, built at the oracle's precision, dps + 40 digits."""
+    with mp.workdps(dps + 40):
+        return 1 - mp.mpf("1e-6") if a == "1-1e-6" else mp.mpf(a)
+
+
+@functools.cache
+def _gamma1_oracle(a, dps):
+    with mp.workdps(dps + 40):
+        return mp.stieltjes(1, _gamma1_input(a, dps))
+
+
+def _gamma1_em(x, dps):
+    """gamma_1(x) by Euler-Maclaurin at the shift stieltjes_gamma1 takes,
+    from mpmath's Bernoulli numbers at dps + 40 digits: the value with no
+    correction, and for J = 1, 2, ... the J-th correction and the stated
+    bound on the remainder after J corrections, up to the first J at which
+    that bound is below 10^-(dps + GUARD_DPS)."""
+    wdps = dps + GUARD_DPS
+    M = specfun._em_shift(float(x), [2], wdps)
+    with mp.workdps(dps + 40):
+        X = x + M
+        log_x = mp.log(X)
+        base = (mp.fsum(mp.log(x + j) / (x + j) for j in range(M))
+                - log_x ** 2 / 2 + log_x / (2 * X))
+        terms, bounds = [], []
+        while not bounds or bounds[-1] > mp.mpf(10) ** -wdps:
+            J = len(terms) + 1
+            terms.append(mp.bernoulli(2 * J) / (2 * J)
+                         * (log_x - mp.harmonic(2 * J - 1)) / X ** (2 * J))
+            bounds.append(4 * mp.factorial(2 * J - 1)
+                          * (log_x + mp.harmonic(2 * J) + mp.mpf(1) / (2 * J))
+                          / (2 * mp.pi * X) ** (2 * J))
+    return base, terms, bounds
+
+
+class TestStieltjesGamma1:
+    @pytest.mark.parametrize("dps", [50, 100, 200])
+    @pytest.mark.parametrize("a", GAMMA1_POINTS)
+    def test_against_mpmath(self, a, dps):
+        mp.dps = 15
+        got = specfun.stieltjes_gamma1(_gamma1_input(a, dps), dps)
+        want = _gamma1_oracle(a, dps)
+        with mp.workdps(dps + 40):
+            assert abs(got - want) <= mp.mpf(10) ** -dps * max(1, abs(want))
+
+    @pytest.mark.parametrize("dps", [50, 100, 200])
+    @pytest.mark.parametrize("a", GAMMA1_POINTS)
+    def test_stated_remainder_covers_the_error(self, a, dps):
+        want = _gamma1_oracle(a, dps)
+        partial, terms, bounds = _gamma1_em(_gamma1_input(a, dps), dps)
+        with mp.workdps(dps + 40):
+            for J, (term, bound) in enumerate(zip(terms, bounds), 1):
+                partial += term
+                assert abs(partial - want) <= bound, J
+
+    @pytest.mark.parametrize("a", ["0.01", "0.97"])
+    def test_dropped_correction_is_seen(self, a, monkeypatch):
+        # zero one weight of the registry at a time: every correction
+        # larger than twice the tolerance is missed
+        dps = 50
+        x, want = _gamma1_input(a, dps), _gamma1_oracle(a, dps)
+        tol = mp.mpf(10) ** -dps * max(1, abs(want))
+        specfun.stieltjes_gamma1(x, dps)
+        with mp.workdps(dps + GUARD_DPS):
+            entry = ("euler_maclaurin", mp.prec)
+        weights = numerics._TABLES[entry]
+        _, terms, _ = _gamma1_em(x, dps)
+        dropped = [i for i, term in enumerate(terms) if abs(term) > 2 * tol]
+        assert dropped
+        for i in dropped:
+            table = list(weights)
+            table[i] = 0
+            monkeypatch.setitem(numerics._TABLES, entry, table)
+            with mp.workdps(dps + 40):
+                assert abs(specfun.stieltjes_gamma1(x, dps) - want) > tol, i
+
+    @pytest.mark.parametrize("a", ["-0.5", "0"])
+    def test_needs_positive_a(self, a):
+        with pytest.raises(ValueError):
+            specfun.stieltjes_gamma1(mp.mpf(a), 30)
+
+    def test_beyond_the_float_range(self):
+        # at a = 1e400 every correction is below 1e-800: gamma_1(a) is
+        # -log^2 a/2 + log a/(2a) to all digits
+        a = mp.mpf("1e400")
+        with mp.workdps(70):
+            want = -mp.log(a) ** 2 / 2 + mp.log(a) / (2 * a)
+            assert abs(specfun.stieltjes_gamma1(a, 50) - want) <= (
+                mp.mpf(10) ** -50 * abs(want))
 
 
 def _eulerian_polylog(k, z):
@@ -374,9 +473,9 @@ class TestRRot:
         assert abs(value() - want) <= bound
         with mp.workdps(dps + GUARD_DPS):
             entry = (key, mp.prec)
-        table = list(numerics._ODD_SERIES[entry])
+        table = list(numerics._TABLES[entry])
         table[5] += table[5] >> 130
-        monkeypatch.setitem(numerics._ODD_SERIES, entry, table)
+        monkeypatch.setitem(numerics._TABLES, entry, table)
         assert abs(value() - want) > bound
 
     def test_domain(self):

@@ -83,7 +83,7 @@ class TestIClass:
         with mp.workdps(dps + GUARD_DPS):
             prec = mp.prec
             scale = mp.ldexp(1, -numerics.fixed_bits())
-            tables = {key: numerics._ODD_SERIES[key, prec][:101]
+            tables = {key: numerics._TABLES[key, prec][:101]
                       for key in ("r_rot", "i_class")}
             for key, table in tables.items():
                 assert len(table) == 101, key
@@ -229,7 +229,7 @@ class TestPrecisionTables:
             return hurwitz(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "hurwitz_zeta_values", counted)
-        monkeypatch.setattr(numerics, "_ODD_SERIES", {})
+        monkeypatch.setattr(numerics, "_TABLES", {})
         for j in range(10):
             torsion.i_class_direct(j - 3, mp.mpf("0.3") + j * mp.mpf("0.6"),
                                    dps=50)
@@ -252,8 +252,7 @@ class TestPrecisionTables:
                                capture_output=True, text=True,
                                check=True).stdout.split("\n")
 
-        monkeypatch.setattr(numerics, "_ODD_SERIES", {})
-        monkeypatch.setattr(torsion, "_LOG_SUM_WEIGHTS", {})
+        monkeypatch.setattr(numerics, "_TABLES", {})
         mp.dps = 15
         got = {}
         for dps in (100, 50, 100):

@@ -55,13 +55,6 @@ class TestTorsionForm:
         series = t_ell_series(ell, order=8)
         assert form.base.coeff(0, 0) == series.coeff(0)
 
-    def test_degree_part_grading(self):
-        form = torsion_form(2, cap=8)
-        total = BaseClass.zero(8)
-        for d in range(0, 9, 2):
-            total = total + form.degree_part(d)
-        assert total == form.base
-
     def test_twist_invariance_of_discriminant_substitution(self):
         # twisting E by the line bundle with c1 = u sends c1 -> c1 + 2u and
         # c2 -> c2 + c1 u + u^2, fixing c1^2 - 4 c2.  With u = c1 this is
