@@ -8,14 +8,20 @@ transcendental symbols
     GAMMA          the Euler-Mascheroni constant (= -Gamma'(1))
     ZETA_PRIME(-m) zeta'(-m) for odd m >= 1
     LOG(p)         log p for prime p (log n is factored into primes)
-    LOG_T          the formal symbol log t
+    LOG_T          the formal symbol log|t|, which every series holds as
+                   log t^2 = 2 LOG_T
 
 Keeping log n in prime-factored form and zeta(-m) folded into the rational
 part makes cancellations exact set-differences rather than numeric near-zeros.
 
 Working precision is set in one place, the ``guarded`` decorator: every
 numeric entry point of the package takes the number of digits ``dps`` it
-returns, works at dps + GUARD_DPS and rounds its result to dps.  Only the
+returns and works at dps + GUARD_DPS.  One rule: the outermost guarded call
+adds the guard digits and rounds its result to dps; a guarded call made
+inside it inherits the working precision (at its own dps + GUARD_DPS, the
+same when it passes the caller's dps) and returns its result unrounded.
+So every caller passes its own dps, and function bodies read the working
+digits from the current precision (mp.dps, or fixed_bits below).  Only the
 Euler-Maclaurin weights of specfun (_em_weights) and the Si/Ci Taylor
 series (which needs more digits as its argument grows) set a precision of
 their own.
@@ -34,7 +40,8 @@ The kernels of the numeric routes of specfun, quadrature and torsion:
     series and the shift-0 tail of quadrature.bilateral_sum state only
     their weights;
   * odd_series_terms: the term count of R^rot and of the I-class series,
-    from one bound on their weights, cut at 10^-wdps |u|;
+    from one bound on their weights, cut at 10^-wdps |u| for the working
+    digits wdps;
   * least_index: the doubling-and-bisection search for the least index at
     which a monotone stopping bound holds.
 """
@@ -51,32 +58,50 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec
 
 Rational = Fraction
 
-# Guard digits: every numeric entry point works at its dps + GUARD_DPS digits
-# and rounds its result to dps (see guarded).
+# Guard digits: the outermost numeric entry point works at its dps +
+# GUARD_DPS digits and rounds its result to dps (see guarded).
 GUARD_DPS = 10
+
+# True while a guarded call runs, so the calls it makes are nested; one
+# flag for the process, as mpmath's working precision is one
+_inside_guard = False
 
 
 def guarded(fn):
-    """Run a numeric entry point at its ``dps`` argument + GUARD_DPS digits
-    and round its result to dps, so that the result does not depend on the
-    caller's global mp.dps.
+    """Run a numeric entry point at its ``dps`` argument + GUARD_DPS digits,
+    so that the result does not depend on the caller's global mp.dps.
 
-    Inside the call ``dps`` still names the requested precision: an inner
-    guarded call given dps works at the same dps + GUARD_DPS, not under a
-    second guard.  Rounding reaches every mpf and mpc in the result, also
-    inside tuples, dicts and dataclass fields.
+    Only the outermost guarded call adds the guard and rounds its result to
+    dps.  A guarded call made inside it works at its own dps + GUARD_DPS,
+    which changes nothing when it passes the caller's dps, and returns its
+    result unrounded: guard digits are added once, at the outermost
+    operation (Brent and Zimmermann, Modern Computer Arithmetic, 2010).
+    The nesting state is restored on every exit, also on a BaseException.
+    Rounding reaches every mpf and mpc in the result, also inside tuples,
+    dicts and dataclass fields.
     """
     params = inspect.signature(fn).parameters
     index, default = list(params).index("dps"), params["dps"].default
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
+        global _inside_guard
         dps = args[index] if index < len(args) else kwargs.get("dps", default)
-        with mp.workdps(dps + GUARD_DPS):
-            result = fn(*args, **kwargs)
+        if _inside_guard:
+            if mp.mp.prec == dps_to_prec(dps + GUARD_DPS):  # the common case
+                return fn(*args, **kwargs)
+            with mp.workdps(dps + GUARD_DPS):
+                return fn(*args, **kwargs)
+        try:
+            _inside_guard = True
+            with mp.workdps(dps + GUARD_DPS):
+                result = fn(*args, **kwargs)
+        finally:
+            _inside_guard = False
         with mp.workdps(dps):
             return _rounded(result)
 
@@ -465,7 +490,7 @@ class ConstExpr:
             elif sym.kind == "LOG":
                 val = mp.log(sym.arg)
             else:  # ZETA_PRIME
-                val = specfun.zeta_prime_neg(sym.arg, dps=dps + GUARD_DPS)
+                val = specfun.zeta_prime_neg(sym.arg, dps)
             total += coeff * val
         return total
 

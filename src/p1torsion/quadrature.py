@@ -24,15 +24,16 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .numerics import GUARD_DPS, guarded, least_index, odd_series
+from .numerics import guarded, least_index, odd_series
 from .specfun import hurwitz_zeta_values
 
 HEAD_K = 20   # a shifted head |k| <= K, K >= 20, keeps q <= 1/20
 HEAD_Q = 0.5  # at shift 0 the head |k| <= K, K >= 1, keeps q <= 1/2
 MAX_HEAD_K = 2000
 
-# weights(N, wdps) -> the expansion weights a_1, ..., a_N of a bilateral_sum
-Weights = Callable[[int, int], Sequence]
+# weights(N) -> the expansion weights a_1, ..., a_N of a bilateral_sum, at
+# the working precision
+Weights = Callable[[int], Sequence]
 
 
 class AccuracyError(ArithmeticError):
@@ -93,19 +94,19 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
 
         term(k) = sum_{n>=1} a_n x^n (k + shift)^{-n-1}   for |k + shift| > rate,
 
-    with weights(N, wdps) returning a_1, ..., a_N at wdps digits.  The a_n
-    must not depend on x, and |a_n x^n| <= n rate^n.  The head |k| <= K is
-    a direct sum of 2K + 1 terms, with K at most MAX_HEAD_K.  The tail over
-    |k| > K is exact in Hurwitz zeta values:
+    with weights(N) returning a_1, ..., a_N at the working precision.  The
+    a_n must not depend on x, and |a_n x^n| <= n rate^n.  The head
+    |k| <= K is a direct sum of 2K + 1 terms, with K at most MAX_HEAD_K.
+    The tail over |k| > K is exact in Hurwitz zeta values:
 
         sum_n a_n x^n [zeta(n+1, K+1+shift) + (-1)^{n+1} zeta(n+1, K+1-shift)].
 
     With D = K + 1 - |shift| and q = rate/D, both half-lines give
     sum_{|k|>K} |k + shift|^{-n-1} <= 2 D^{-n-1} (1 + D/n), so dropping
     n > N costs at most (2/D) sum_{n>N} (n + D) q^n, a geometric series.
-    N is the least count that brings this below 10^-(dps + GUARD_DPS) q.
-    Every tail term carries a factor x, so the factor q keeps the tail's
-    relative precision as x goes to 0, where N falls to 1.
+    N is the least count that brings this below 10^-wdps q, for the working
+    digits wdps.  Every tail term carries a factor x, so the factor q keeps
+    the tail's relative precision as x goes to 0, where N falls to 1.
     Raises AccuracyError when q >= 1, where the expansion cannot be summed.
 
     At any shift other than 0, K = 20 unless a large rate or shift needs
@@ -130,7 +131,7 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
     head capped at MAX_HEAD_K with q > HEAD_Q, takes the per-call Hurwitz
     pass instead.
     """
-    wdps = dps + GUARD_DPS
+    wdps = mp.mp.dps
     rate, shift, x = mp.mpf(rate), mp.mpf(shift), mp.mpmathify(x)
     # K, D and q only choose the head and the tail's length: floats will do.
     # A rate below the float range counts as the least normal float, so q
@@ -159,17 +160,17 @@ def bilateral_sum(term: Callable[[int], mp.mpf], weights: Weights, x, rate,
         def tail_weights(start, stop):
             # the whole table at once: the Hurwitz pass serves every n
             n_max = _tail_terms(float(A), HEAD_Q, wdps)
-            zeta = hurwitz_zeta_values(range(2, n_max + 2, 2), A, wdps)
-            coeffs = weights(n_max, wdps)
+            zeta = hurwitz_zeta_values(range(2, n_max + 2, 2), A, dps)
+            coeffs = weights(n_max)
             return [2 * coeffs[n - 1] * zeta[n + 1] * sA ** n
                     for n in range(1, n_max + 1, 2)]
 
         return head + odd_series((weights, A, sA), tail_weights,
                                  (n_terms + 1) // 2, x / sA)
-    a = weights(n_terms, wdps)
+    a = weights(n_terms)
     ss = range(2, n_terms + 2)
-    right = hurwitz_zeta_values(ss, K + 1 + shift, wdps)
-    left = hurwitz_zeta_values(ss, K + 1 - shift, wdps)
+    right = hurwitz_zeta_values(ss, K + 1 + shift, dps)
+    left = hurwitz_zeta_values(ss, K + 1 - shift, dps)
     tail = 0
     for n in range(n_terms, 0, -1):
         zeta = right[n + 1] - (-1) ** n * left[n + 1]

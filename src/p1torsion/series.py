@@ -21,10 +21,9 @@ from typing import Mapping, Optional
 
 import mpmath as mp
 
-from .numerics import (GUARD_DPS, ONE, ConstExpr, SymbolProductError, guarded,
-                       harmonic, parts_coeff, parts_from, parts_keys,
-                       parts_product, parts_scale, parts_select, parts_sum,
-                       reduced)
+from .numerics import (ONE, ConstExpr, SymbolProductError, guarded, harmonic,
+                       parts_coeff, parts_from, parts_keys, parts_product,
+                       parts_scale, parts_select, parts_sum, reduced)
 
 MIN_DEGREE_CAP = -2
 DEFAULT_ORDER = 40
@@ -216,16 +215,17 @@ class LaurentSeries:
 
     @guarded
     def evaluate(self, t, dps: int = 50):
-        """Numeric value sum a_m t^m, with LOG_T = log t for t > 0; needs
-        t != 0 when poles are present."""
+        """Numeric value sum a_m t^m, with LOG_T = log|t| for t != 0 (every
+        LOG_T enters as log t^2 = 2 LOG_T); needs t != 0 when poles or
+        LOG_T are present."""
         degrees = self.degrees()
         tv = mp.mpf(t)
         if tv == 0 and self.min_degree < 0 and any(d < 0 for d in degrees):
             raise ZeroDivisionError("evaluating a pole at t = 0")
-        logt = mp.log(tv) if tv > 0 else None
+        logt = mp.log(abs(tv)) if tv else None
         total = mp.mpf(0)
         for d in degrees:
-            total += self.coeff(d).eval(dps=dps + GUARD_DPS, logt_value=logt) * tv ** d
+            total += self.coeff(d).eval(dps, logt_value=logt) * tv ** d
         return total
 
     def to_json(self, dps: Optional[int] = None) -> dict:

@@ -28,20 +28,22 @@ stops:
     4 X (s)_{2J-1}/(2 pi X)^{2J} for zeta(s, a), and below
     4 (2J-1)! (log X + H_{2J} + 1/(2J))/(2 pi X)^{2J} for gamma_1(a), the
     s = 1 column with the weight log X - H_{2i-1}.  Each stops at the first J
-    whose bound meets 10^-wdps (relative to X^{1-s}/(s-1) for zeta,
-    absolute for gamma_1).  The shift M is the least one at which every s
-    can get there (_em_shift, by bisection, J about pi X); gamma_1 takes
-    the shift of zeta(2, a), whose bound is the larger.
+    whose bound meets 10^-wdps, wdps the working digits (relative to
+    X^{1-s}/(s-1) for zeta, absolute for gamma_1).  The shift M is the
+    least one at which every s can get there (_em_shift, by bisection, J
+    about pi X); gamma_1 takes the shift of zeta(2, a), whose bound is the
+    larger.
   * r_rot_value: states its weights w_m = (-1)^{(m+1)/2} zeta'(-m)
     (2 pi)^m/m!, built from the cached zeta_prime_neg values;
     numerics.odd_series keeps them in its table registry and sums them, to
     the count numerics.odd_series_terms fixes before the sum from
     |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), where the dropped terms
-    fall below 10^-(dps + GUARD_DPS) u.
+    fall below 10^-wdps u.  t is first reduced into (0, pi] by
+    R^rot(-t) = R^rot(2 pi - t) = -R^rot(t), so u <= 1/2.
   * si, ci: below _sici_crossover(dps) = 2.4 dps + 10, the Taylor series
-    at dps + 0.45 x + GUARD_DPS digits (_sici_taylor), stopped after both
-    terms fall below 10^-(dps + 0.45 x + GUARD_DPS); above it the
-    asymptotic expansions, cut at their least term.
+    at wdps + 0.45 x digits (_sici_taylor), stopped after both terms fall
+    below 10^-(wdps + 0.45 x); above it the asymptotic expansions, cut at
+    their least term.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import (GUARD_DPS, ConstExpr, fixed_bits, fixed_table, guarded,
-                       harmonic, least_index, odd_series, odd_series_terms)
+from .numerics import (ConstExpr, fixed_bits, fixed_table, guarded, harmonic,
+                       least_index, odd_series, odd_series_terms)
 from .series import DEFAULT_ORDER, LaurentSeries
 
 
@@ -113,9 +115,10 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
     a = mp.mpf(a)
     if s == 1:
         raise ValueError("Hurwitz zeta has a pole at s = 1")
-    # Choose the shift N and correction depth J for the target precision.
-    N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * (dps + GUARD_DPS)))
-    J = dps + GUARD_DPS
+    # Choose the shift N and correction depth J for the working precision.
+    wdps = mp.mp.dps
+    N = max(int(mp.ceil(abs(s))) + 10, int(1.4 * wdps))
+    J = wdps
     X = N + a
     logX = mp.log(X)
     head = mp.mpf(0)
@@ -143,7 +146,7 @@ def hurwitz_zeta(s, a, dps: int = 50, derivative: bool = False):
             break  # asymptotic series started diverging
         tail += term
         prev = abs(term)
-        if prev < mp.mpf(10) ** (-(dps + GUARD_DPS) - 5):
+        if prev < mp.mpf(10) ** (-wdps - 5):
             break
     return head + pole + mid + tail
 
@@ -181,7 +184,7 @@ def _em_terms(s: int, X, inv_y2: int):
     raise ArithmeticError(f"Euler-Maclaurin at s = {s} stopped converging")
 
 
-def _em_shift(a: float, ss, wdps: int) -> int:
+def _em_shift(a, ss, wdps: int) -> int:
     """The least M >= 0 at which the Euler-Maclaurin remainder bound of
     hurwitz_zeta_values reaches 10^-wdps relative for every s in ss.
 
@@ -189,8 +192,11 @@ def _em_shift(a: float, ss, wdps: int) -> int:
     4 (s-1) (s)_{2J-1} / (2 pi X)^{2J}, least near s + 2J - 1 = 2 pi X.
     One unit of margin in the log absorbs rounding.  No shift below
     M0 = -log(eps)/(2 pi) - a can meet it, and the bound falls with M, so
-    numerics.least_index finds M by doubling and bisection from M0.
+    numerics.least_index finds M by doubling and bisection from M0.  The
+    search runs in floats with a taken at most 10^15, where M is 0 already
+    for any wdps below 10^15, so an a past the float range is served too.
     """
+    a = min(float(a), 1e15)
     log_eps = -wdps * math.log(10) - 1
 
     def least_log_bound(s, y):
@@ -219,17 +225,18 @@ def hurwitz_zeta_values(ss, a, dps: int = 50) -> dict:
     |B~_{2J}(x)| <= |B_{2J}| <= 4 (2J)!/(2 pi)^{2J}, the remainder of E_s
     after J corrections is at most 4 X (s)_{2J-1}/(2 pi X)^{2J} (Johansson,
     Numer. Algorithms 2015).  Each s takes corrections (_em_terms) until
-    that is below 10^-(dps + GUARD_DPS) X/(s-1); M is the least shift at
-    which every s can get there.  Every value is good to 10^-dps relative.
+    that is below 10^-wdps X/(s-1) for the working digits wdps; M is the
+    least shift at which every s can get there.  Every value is good to
+    10^-dps relative.
     """
     ss = sorted(set(ss))
     if not ss or ss[0] < 2 or any(int(s) != s for s in ss):
         raise ValueError("hurwitz_zeta_values needs integers s >= 2")
-    wdps = dps + GUARD_DPS
+    wdps = mp.mp.dps
     a = mp.mpf(a)
     if a <= 0:
         raise ValueError("hurwitz_zeta_values needs a > 0")
-    M = _em_shift(float(a), ss, wdps)
+    M = _em_shift(a, ss, wdps)
     X = a + M
     bits = fixed_bits()
 
@@ -289,22 +296,24 @@ def stieltjes_gamma1(a, dps: int = 50):
 
     below 4 (2J-1)! (log X + H_{2J} + 1)/(2 pi X)^{2J} (Blagouchine,
     J. Number Theory 2015).  The corrections run in fixed point until the
-    first is below 10^-(dps + GUARD_DPS).  M is the shift _em_shift finds
-    for zeta(2, a), which gets there: at every X >= 1 and the J that search
-    takes, 2J >= log X + H_{2J} + 1, so the bound 4 (2J)!/(2 pi X)^{2J} of
-    zeta(2, a) is the larger one.  The M direct terms are summed in mpf.
-    The value is good to 10^-dps max(1, |gamma_1(a)|).
+    first is below 10^-wdps, wdps the working digits.  M is the shift
+    _em_shift finds for zeta(2, a), which gets there: at every X >= 1 and
+    the J that search takes, 2J >= log X + H_{2J} + 1, so the bound
+    4 (2J)!/(2 pi X)^{2J} of zeta(2, a) is the larger one.  The M direct
+    terms are summed in mpf.  The value is good to 10^-dps
+    max(1, |gamma_1(a)|).
     """
     a = mp.mpf(a)
     if not a > 0:
         raise ValueError("stieltjes_gamma1 needs a > 0")
-    M = _em_shift(min(float(a), 1e15), [2], dps + GUARD_DPS)  # 0 past 1e15
+    wdps = mp.mp.dps
+    M = _em_shift(a, [2], wdps)
     X = a + M
     log_x = mp.log(X)
     bits = fixed_bits()
     log_fixed = int(mp.ldexp(log_x, bits))
     # the bound is taken times X, as the corrections are
-    target = int(mp.ldexp(mp.mpf(10) ** -(dps + GUARD_DPS) * X, 2 * bits))
+    target = int(mp.ldexp(mp.mpf(10) ** -wdps * X, 2 * bits))
     inv_y2 = int(mp.ldexp(1 / (2 * mp.pi * X) ** 2, bits))
     total = 0
     for i, (weight, scaled) in enumerate(_em_terms(1, X, inv_y2), 1):
@@ -322,7 +331,6 @@ def stieltjes_gamma1(a, dps: int = 50):
 # zeta'(-m)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 @guarded
 def zeta_prime_neg(m: int, dps: int = 50):
     """zeta'(-m) for odd m >= 1 via the functional equation.
@@ -331,13 +339,26 @@ def zeta_prime_neg(m: int, dps: int = 50):
     Gamma(1-s) zeta(1-s) at s = -m (where the cotangent term vanishes) gives
 
         zeta'(-m) = zeta(-m) [log(2 pi) - psi(m+1) - zeta'(m+1)/zeta(m+1)].
+
+    The values are cached per (m, working precision), as numerics.fixed_table
+    keeps its tables, so a cached value does not depend on which call filled
+    it; zeta_prime_neg.cache_info() counts the hits and misses.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("zeta_prime_neg is defined here only for odd m >= 1")
+    return _zeta_prime_neg_at(m, mp.mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _zeta_prime_neg_at(m: int, prec: int):
+    """zeta'(-m) at the working precision prec, the current one."""
     zneg = zeta_neg(m)
     zneg_v = mp.mpf(zneg.numerator) / zneg.denominator
     ratio = mp.zeta(m + 1, derivative=1) / mp.zeta(m + 1)
     return zneg_v * (mp.log(2 * mp.pi) - mp.digamma(m + 1) - ratio)
+
+
+zeta_prime_neg.cache_info = _zeta_prime_neg_at.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +419,6 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
     """
     if k < 0:
         raise ValueError("lerch_prime_neg needs k >= 0")
-    wdps = dps + GUARD_DPS
     phi = mp.mpf(phi)
     _check_phi(phi)
     a = mp.fmod(phi / (2 * mp.pi), 1)
@@ -410,7 +430,7 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
         #   B0 = psi(a) - psi(1-a) - i pi
         #   B1 = gamma_1(1-a) - gamma_1(a) - (i pi/2)(psi(1-a) + psi(a))
         B0 = mp.digamma(a) - mp.digamma(1 - a) - 1j * mp.pi
-        B1 = (stieltjes_gamma1(1 - a, wdps) - stieltjes_gamma1(a, wdps)
+        B1 = (stieltjes_gamma1(1 - a, dps) - stieltjes_gamma1(a, dps)
               - 0.5j * mp.pi * (mp.digamma(1 - a) + mp.digamma(a)))
         return ((mp.log(2 * mp.pi) + mp.euler) * B0 + B1) / (2j * mp.pi)
     else:
@@ -420,10 +440,10 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
         dC = C * (mp.log(2 * mp.pi) - mp.digamma(w))
         e_plus = mp.exp(1j * mp.pi * s / 2)
         e_minus = mp.exp(-1j * mp.pi * s / 2)
-        z1 = hurwitz_zeta(w, 1 - a, wdps)
-        z2 = hurwitz_zeta(w, a, wdps)
-        dz1 = hurwitz_zeta(w, 1 - a, wdps, derivative=True)
-        dz2 = hurwitz_zeta(w, a, wdps, derivative=True)
+        z1 = hurwitz_zeta(w, 1 - a, dps)
+        z2 = hurwitz_zeta(w, a, dps)
+        dz1 = hurwitz_zeta(w, 1 - a, dps, derivative=True)
+        dz2 = hurwitz_zeta(w, a, dps, derivative=True)
         B = e_plus * z1 - e_minus * z2
         # d/ds zeta(1-s, x) = -zeta_w(1-s, x)
         dB = (0.5j * mp.pi * e_plus * z1 - e_plus * dz1
@@ -436,7 +456,7 @@ def lerch_prime_neg(k: int, phi, dps: int = 50):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _sici_taylor(x, dps: int):
+def _sici_taylor(x, wdps: int):
     """(Si(x), Ci(x) - gamma - log x) for x >= 0 by their Taylor series
 
         Si(x) = x sum_{j>=0} s_j/(2j+1),        s_j = (-1)^j x^{2j}/(2j+1)!,
@@ -444,25 +464,26 @@ def _sici_taylor(x, dps: int):
                                                 c_k = (-1)^k x^{2k-2}/(2k)!,
 
     summed in fixed point.  The terms grow to about e^x/x before they fall,
-    so the sums run at dps + boost digits, boost = 0.45 x + GUARD_DPS,
-    which absorbs the 0.434 x digits of cancellation.  s_j and c_k are
-    Python integers with scale 2^bits, bits = numerics.fixed_bits() at
-    that precision, and each step of a recurrence floors twice: over K
-    steps the error is below K units of 2^-prec times the largest term, as
-    for the same recurrence in mpf.  The factors x and x^2 are applied in
-    mpf, so small x keeps its relative precision.  The sum stops after the
-    first k at which both terms x s_k and x^2 c_k are below
-    10^-(dps + boost); past that they fall faster than geometrically.  The
-    last few results are kept, so si and ci at one x share a single pass.
+    so the sums run at wdps + boost digits, wdps the caller's working
+    digits and boost = 0.45 x, which absorbs the 0.434 x digits of
+    cancellation.  s_j and c_k are Python integers with scale 2^bits,
+    bits = numerics.fixed_bits() at that precision, and each step of a
+    recurrence floors twice: over K steps the error is below K units of
+    2^-prec times the largest term, as for the same recurrence in mpf.  The
+    factors x and x^2 are applied in mpf, so small x keeps its relative
+    precision.  The sum stops after the first k at which both terms x s_k
+    and x^2 c_k are below 10^-(wdps + boost); past that they fall faster
+    than geometrically.  The last few results are kept, so si and ci at one
+    x share a single pass.
     """
     if x == 0:
         return x, x
-    boost = int(0.45 * abs(x)) + GUARD_DPS
-    with mp.workdps(dps + boost):
+    boost = int(0.45 * abs(x))
+    with mp.workdps(wdps + boost):
         x = mp.mpf(x)
         bits = fixed_bits()
         x2 = int(mp.ldexp(x * x, bits))
-        eps = mp.mpf(10) ** -(dps + boost)
+        eps = mp.mpf(10) ** -(wdps + boost)
         si_stop = int(mp.ldexp(eps / x, bits))
         cin_stop = int(mp.ldexp(eps / (x * x), bits))
         si_term = si = 1 << bits  # s_0
@@ -516,7 +537,7 @@ def si(x, dps: int = 50):
     if xv < 0:
         return -si(-xv, dps)
     if xv <= _sici_crossover(dps):
-        return _sici_taylor(xv, dps)[0]
+        return _sici_taylor(xv, mp.mp.dps)[0]
     return _sici_asymptotic(xv)[0]
 
 
@@ -527,7 +548,7 @@ def ci(x, dps: int = 50):
     if xv <= 0:
         raise ValueError("ci needs x > 0")
     if xv <= _sici_crossover(dps):
-        return mp.euler + mp.log(xv) + _sici_taylor(xv, dps)[1]
+        return mp.euler + mp.log(xv) + _sici_taylor(xv, mp.mp.dps)[1]
     return _sici_asymptotic(xv)[1]
 
 
@@ -537,36 +558,43 @@ def ci(x, dps: int = 50):
 
 @guarded
 def r_rot_value(t, dps: int = 50):
-    """R^rot(t) numerically, for 0 < t < 2 pi:
+    """R^rot(t) numerically, for real t not in 2 pi Z.
+
+    R^rot(t) = Im zeta_L'(0, t) is odd and 2 pi-periodic,
+    R^rot(-t) = R^rot(2 pi - t) = -R^rot(t).  So |t| >= 2 is first reduced
+    to r = t - 2 pi k in [-pi, pi], k the nearest integer, at twice the
+    working precision plus the bits of t: r keeps the working precision
+    relative to itself down to |r| ~ 2^-prec, also next to a multiple of
+    2 pi.  Then R^rot(t) = sign(r) R^rot(|r|), and for 0 < t <= pi
 
         R^rot(t) = (gamma + log t)/t - sum_{m odd} w_m u^m,   u = t/(2 pi),
         w_m = (-1)^{(m+1)/2} zeta'(-m) (2 pi)^m/m!,
 
-    with zeta'(-m) the cached zeta_prime_neg(m, dps + GUARD_DPS).  The w_m
-    are O(log m) and t-independent: numerics.odd_series keeps them and sums
-    the odd series, to the term count numerics.odd_series_terms fixes
-    before the sum from |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), so the
-    dropped terms sum to at most 10^-(dps + GUARD_DPS) u.  The count grows
-    like dps/log(2 pi/t), so near 2 pi both the table and the sum grow
-    without bound.
+    with zeta'(-m) the cached zeta_prime_neg values.  The w_m are O(log m)
+    and t-independent: numerics.odd_series keeps them and sums the odd
+    series, to the term count numerics.odd_series_terms fixes before the
+    sum from |w_m| <= 2 zeta(m+1)(log(m+1) + 2.5)/(2 pi), so the dropped
+    terms sum to at most 10^-wdps u for the working digits wdps.  Since
+    u <= 1/2 the count is at most 101 at dps 50 and 849 at dps 500.
     """
-    tv = mp.mpf(t)
-    if not 0 < tv < 2 * mp.pi:
-        raise ValueError("r_rot_value needs 0 < t < 2*pi")
-    wdps = dps + GUARD_DPS
+    r = mp.mpf(t)
+    if mp.mag(r) > 1:  # |t| >= 2 may lie past pi
+        with mp.extraprec(mp.mp.prec + mp.mag(r)):
+            r -= 2 * mp.pi * mp.nint(r / (2 * mp.pi))
+    if not r:
+        raise ValueError("r_rot_value needs t not congruent to 0 mod 2*pi")
+    tv = abs(r)
     u = tv / (2 * mp.pi)
-    count = odd_series_terms(float(u), wdps)
-    if count is None:  # t within about 2^-53 of 2 pi
-        raise ArithmeticError("R^rot's power series needs more than 10^16 "
-                              "terms this close to 2*pi")
+    count = odd_series_terms(float(u), mp.mp.dps)
 
     def weights(start, stop):
         for m in range(2 * start + 1, 2 * stop, 2):
-            yield ((-1) ** ((m + 1) // 2) * zeta_prime_neg(m, wdps)
+            yield ((-1) ** ((m + 1) // 2) * zeta_prime_neg(m, dps)
                    * (2 * mp.pi) ** m / mp.factorial(m))
 
     series = odd_series("r_rot", weights, count, u)
-    return (mp.euler + mp.log(tv)) / tv - series
+    value = (mp.euler + mp.log(tv)) / tv - series
+    return value if r > 0 else -value
 
 
 def gs_r_series(order: int = DEFAULT_ORDER) -> LaurentSeries:

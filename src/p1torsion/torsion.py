@@ -26,8 +26,8 @@ from typing import Optional
 import mpmath as mp
 
 from .chowring import t_tilde_series
-from .numerics import (GUARD_DPS, LOG_T, ConstExpr, guarded, harmonic,
-                       odd_series, odd_series_terms)
+from .numerics import (LOG_T, ConstExpr, guarded, harmonic, odd_series,
+                       odd_series_terms)
 from .quadrature import IntegrandSpec, bilateral_sum, integrate
 from .series import (DEFAULT_ORDER, LaurentSeries, build_cos_scaled,
                      build_inv_sin_half, build_sin_scaled, star)
@@ -103,17 +103,16 @@ def i_class_value(ell: int, t, dps: int = 50):
     weights w_m = c_m (2 pi)^m, |w_m| = 2 H_m zeta(m+1)/(2 pi), all of one
     sign; numerics.odd_series keeps them and sums the series, to the count
     numerics.odd_series_terms fixes from the bound it shares with R^rot.
-    The dropped terms sum to at most 10^-(dps + GUARD_DPS) |u|, and since
-    the sum is at least |w_1 u| = (pi/6) |u|, that cut is relative.  Past
-    index I_CLASS_MAX_INDEX (t near 2 pi) the call raises ConvergenceError
-    at once and points to i_class_direct.
+    The dropped terms sum to at most 10^-wdps |u| for the working digits
+    wdps, and since the sum is at least |w_1 u| = (pi/6) |u|, that cut is
+    relative.  Past index I_CLASS_MAX_INDEX (t near 2 pi) the call raises
+    ConvergenceError at once and points to i_class_direct.
     """
-    wdps = dps + GUARD_DPS
     tv = mp.mpf(t)
     if not 0 < abs(tv) < 2 * mp.pi:
         raise ValueError("i_class_value needs 0 < |t| < 2*pi")
     u = tv / (2 * mp.pi)
-    count = odd_series_terms(abs(float(u)), wdps)
+    count = odd_series_terms(abs(float(u)), mp.mp.dps)
     if count is None or 2 * count - 1 > I_CLASS_MAX_INDEX:
         raise ConvergenceError(
             f"the I-class series at t = {mp.nstr(tv, 8)} needs terms "
@@ -129,16 +128,15 @@ def i_class_value(ell: int, t, dps: int = 50):
     return (mp.cos((ell + 1) * tv / 2) / mp.sin(tv / 2)) * total
 
 
-def _log_sum_weights(count: int, wdps: int) -> list:
-    """(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, ..., count at wdps digits:
-    the expansion weights of bilateral_log_sum."""
+def _log_sum_weights(count: int) -> list:
+    """(-1)^{n+1} H_n/(2 pi)^{n+1} for n = 1, ..., count at the working
+    precision: the expansion weights of bilateral_log_sum."""
+    inv_two_pi = 1 / (2 * mp.pi)
     weights = []
-    with mp.workdps(wdps):
-        inv_two_pi = 1 / (2 * mp.pi)
-        for n in range(1, count + 1):
-            h = harmonic(n)
-            weights.append((-1) ** (n + 1) * inv_two_pi ** (n + 1)
-                           * h.numerator / h.denominator)
+    for n in range(1, count + 1):
+        h = harmonic(n)
+        weights.append((-1) ** (n + 1) * inv_two_pi ** (n + 1)
+                       * h.numerator / h.denominator)
     return weights
 
 
@@ -151,7 +149,8 @@ def bilateral_log_sum(s, x, dps: int = 50):
     first.  For |d| > |x| the term is
     sum_{n>=1} (-1)^{n+1} H_n x^n d^{-n-1}; quadrature.bilateral_sum sums
     |k| <= K directly and takes the rest from this expansion, in Hurwitz
-    zeta values at shift s/(2 pi), to a bound below 10^-(dps + GUARD_DPS).
+    zeta values at shift s/(2 pi), to a bound below 10^-wdps for the working
+    digits wdps.
     The weights H_n/(2 pi)^{n+1} (_log_sum_weights) do not depend on s or
     x; at s = 0 bilateral_sum keeps their products with the Hurwitz
     values, in fixed point.
@@ -390,8 +389,8 @@ def r_tilde0(phi, x, dps: int = 50, max_terms: int = 400):
             xpow *= x
             fact *= k
         h = harmonic(k)
-        coeff = (lerch_prime_neg(k, phi, dps + GUARD_DPS)
-                 + lerch_neg(k, phi, dps + GUARD_DPS)
+        coeff = (lerch_prime_neg(k, phi, dps)
+                 + lerch_neg(k, phi, dps)
                  * mp.mpf(h.numerator) / h.denominator / 2)
         term = coeff * xpow / fact
         total += term
@@ -435,14 +434,14 @@ def torsion_two_param(ell: int, s, t, dps: int = 50, tol=None):
     logsum = _log_sum_value(ell, u)
 
     if tv == 0:
-        lerch_val = torsion_group(ell, sv, dps + GUARD_DPS)
+        lerch_val = torsion_group(ell, sv, dps)
     else:
         R = r_two_variable(sv, 1j * tv, dps)
         lerch_val = logsum + (prefactor / 1j) * R
         lerch_val = mp.re(lerch_val) if abs(mp.im(lerch_val)) < mp.mpf(10) ** (-dps // 2) else lerch_val
 
     ksum = bilateral_log_sum(sv, tv, dps)
-    direct_val = (2 * r_rot_value(u, dps + GUARD_DPS) * prefactor + logsum
+    direct_val = (2 * r_rot_value(u, dps) * prefactor + logsum
                   - prefactor * ksum)
     if tol is None:
         tol = mp.mpf(10) ** (3 - dps) * max(1, abs(lerch_val))

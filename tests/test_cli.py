@@ -90,6 +90,15 @@ class TestScurrent:
         data = json.loads(out)
         assert data["value"] == data["series_value"]
 
+    def test_negative_t(self, capsys):
+        # the series route takes LOG_T = log|t|, the integral log t^2
+        code, out, _ = run_cli(capsys, "scurrent", "--profile", "r^2",
+                               "--t", "-1.0")
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == data["series_value"]
+        assert data["value"].startswith("-1.6911373403938")
+
     def test_symbolic_mode(self, capsys):
         code, out, _ = run_cli(capsys, "scurrent", "--profile", "r^2",
                                "--symbolic")
@@ -129,6 +138,14 @@ class TestTwoParam:
         assert data["command"] == "two-param"
         assert float(data["value"]) == pytest.approx(
             float(data["value"]))  # parses as a finite number
+
+    def test_negative_angle_sum(self, capsys):
+        # s + t = -0.6 lies inside the domain 0 < |s + t| < 2 pi
+        code, out, _ = run_cli(capsys, "two-param", "--ell", "0",
+                               "--s", "-1.0", "--t", "0.4",
+                               "--precision", "25")
+        assert code == 0
+        assert json.loads(out)["value"].startswith("2.9351996837168")
 
     def test_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "two-param", "--ell", "0",

@@ -15,6 +15,9 @@ kept; so API that only tests call shows up here.
 
 Importing the package builds none of the tables its numeric routes fill on
 first use, so that work stays out of the benchmark's setup_s.
+
+Only numerics names the guard digits GUARD_DPS, so no caller can add a
+second guard on top of the one numerics.guarded adds.
 """
 
 import ast
@@ -320,3 +323,24 @@ def test_fixed_point_scale_has_one_name():
     assert _writes_fixed_scale(ast.parse((SRC / "numerics.py").read_text()))
     assert _writes_fixed_scale(ast.parse("bits = mp.mp.prec + 20"))
     assert not _writes_fixed_scale(ast.parse("bits = fixed_bits()"))
+
+
+def _names_guard_digits(tree) -> bool:
+    """Whether the module names GUARD_DPS, which only numerics.guarded may
+    add: by loading it, as an attribute, or by importing it."""
+    return any(isinstance(node, ast.Name) and node.id == "GUARD_DPS"
+               or isinstance(node, ast.Attribute) and node.attr == "GUARD_DPS"
+               or isinstance(node, ast.alias) and node.name == "GUARD_DPS"
+               for node in ast.walk(tree))
+
+
+def test_guard_digits_have_one_name():
+    namers = [p.name for p in MODULES if p.stem != "numerics"
+              and _names_guard_digits(ast.parse(p.read_text()))]
+    assert not namers, "GUARD_DPS outside numerics: " + ", ".join(namers)
+    assert _names_guard_digits(ast.parse((SRC / "numerics.py").read_text()))
+    assert _names_guard_digits(ast.parse("f(x, dps + GUARD_DPS)"))
+    assert _names_guard_digits(ast.parse("f(x, dps + numerics.GUARD_DPS)"))
+    assert _names_guard_digits(ast.parse(
+        "from .numerics import GUARD_DPS as G"))
+    assert not _names_guard_digits(ast.parse("f(x, dps)"))

@@ -11,12 +11,20 @@ second; the I-class routes, bilateral_sum, R^rot, Si/Ci and the routes
 built on them also run at dps 200.
 check_defining_property is left out: its residuals depend on dps through
 its finite-difference step.
+
+Guard digits are added once: a guarded call made inside another one works
+at the same precision, and an interrupted call leaves no trace.
 """
+
+import functools
+import inspect
+import sys
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
-from p1torsion import quadrature, scurrent, specfun, torsion
+from p1torsion import numerics, quadrature, scurrent, specfun, torsion
 from p1torsion.numerics import ConstExpr
 from p1torsion.quadrature import IntegrandSpec
 from test_quadrature import lorentz_weights
@@ -120,3 +128,64 @@ def test_result_ignores_global_precision(name, dps):
             assert abs(g - w) <= bound, (
                 f"{name} at dps {dps}: off by {mp.nstr(abs(g - w), 3)}, "
                 f"allowed {mp.nstr(bound, 3)}")
+
+
+# the guarded functions that call no other one
+INNERMOST = (specfun.hurwitz_zeta, specfun.hurwitz_zeta_values,
+             specfun.stieltjes_gamma1, specfun.zeta_prime_neg)
+
+
+def _working_digits(call):
+    """The mp.dps values on entry to the bodies of INNERMOST during call()."""
+    bodies = {inspect.unwrap(f).__code__ for f in INNERMOST}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            seen.add(mp.dps)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("name,call,want", [
+    ("torsion_two_param", lambda: torsion.torsion_two_param(
+        2, "2.1", "0.63", dps=30), 40),
+    ("r_rot_value", lambda: specfun.r_rot_value("4.0", 50), 60),
+    ("LaurentSeries.evaluate", lambda: torsion.torsion_infinitesimal(
+        0, 8).payload.evaluate("0.5", dps=50), 60),
+])
+def test_nested_calls_inherit_the_working_precision(name, call, want,
+                                                    monkeypatch):
+    # R^rot's weights are built afresh, so that it calls zeta_prime_neg
+    monkeypatch.setattr(numerics, "_TABLES", {})
+    mp.dps = 15
+    assert _working_digits(call) == {want}, name
+
+
+class Interrupt(BaseException):
+    """Like the benchmark's SIGALRM timeout: not an Exception."""
+
+
+def test_interrupted_nested_call_leaves_no_trace(monkeypatch):
+    def interrupted(m, prec):
+        raise Interrupt
+
+    body = specfun._zeta_prime_neg_at.__wrapped__
+    mp.dps = 15
+    monkeypatch.setattr(numerics, "_TABLES", {})
+    monkeypatch.setattr(specfun, "_zeta_prime_neg_at", interrupted)
+    with pytest.raises(Interrupt):  # inside zeta_prime_neg, under R^rot
+        specfun.r_rot_value("1.0", 30)
+    assert mp.dps == 15
+    monkeypatch.setattr(specfun, "_zeta_prime_neg_at",
+                        functools.lru_cache(body))
+    value = specfun.zeta_prime_neg(3, 20)  # top-level again: rounds to 20
+    assert mp.dps == 15
+    assert value.man.bit_length() <= dps_to_prec(20)
+    with mp.workdps(40):
+        assert abs(value - mp.zeta(-3, derivative=1)) <= mp.mpf(10) ** -20

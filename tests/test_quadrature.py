@@ -46,13 +46,13 @@ class TestIntegrate:
         assert exc.value.estimate > mp.mpf(10) ** -40
 
 
-def lorentz_weights(count, wdps):
+def lorentz_weights(count):
     # 1/(k^2 + a^2) = sum_{m>=0} (-1)^m a^{2m} k^{-2m-2}, so a/(k^2 + a^2)
     # has a_n = (-1)^{(n-1)/2} at odd n, 0 at even n, and x = a
     return [(-1) ** (n // 2) if n % 2 else 0 for n in range(1, count + 1)]
 
 
-def unit_weights(count, wdps):
+def unit_weights(count):
     return [1] * count
 
 

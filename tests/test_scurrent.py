@@ -49,8 +49,9 @@ class TestProfileParsing:
 
 class TestPathAgreement:
     @pytest.mark.parametrize("text", ["1", "r^2", "r^2 + 2*r^4", "-1/3*r^6"])
-    @pytest.mark.parametrize("t", ["0.5", "1.0", "2.7"])
+    @pytest.mark.parametrize("t", ["0.5", "1.0", "2.7", "-1.0"])
     def test_integral_equals_series(self, text, t):
+        # at t < 0 the series takes LOG_T = log|t|, as log t^2 = 2 LOG_T
         mp.dps = 40
         profile = Profile.from_string(text)
         tv = mp.mpf(t)

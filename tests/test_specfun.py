@@ -226,6 +226,20 @@ class TestStieltjesGamma1:
         with pytest.raises(ValueError):
             specfun.stieltjes_gamma1(mp.mpf(a), 30)
 
+    @pytest.mark.parametrize("a", ["1e20", "1e400"])
+    def test_large_a_against_mpmath(self, a):
+        # _em_shift takes a at most 1e15, for gamma_1 and zeta(s, a) alike
+        dps = 30
+        x = mp.mpf(a)
+        got = specfun.stieltjes_gamma1(x, dps)
+        values = specfun.hurwitz_zeta_values([2, 5], x, dps)
+        with mp.workdps(dps + 20):
+            want = mp.stieltjes(1, x)
+            assert abs(got - want) <= mp.mpf(10) ** -dps * abs(want)
+            for s, value in values.items():
+                want = mp.zeta(s, x)
+                assert abs(value - want) <= mp.mpf(10) ** -dps * want
+
     def test_beyond_the_float_range(self):
         # at a = 1e400 every correction is below 1e-800: gamma_1(a) is
         # -log^2 a/2 + log a/(2a) to all digits
@@ -479,13 +493,47 @@ class TestRRot:
         assert abs(value() - want) > bound
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            specfun.r_rot_value(mp.mpf(7), dps=30)
-        # within 2^-53 of 2 pi the series would need past 10^16 terms
-        with mp.workdps(40):
+        # every real t outside 2 pi Z: R^rot is 2 pi-periodic, also within
+        # 10^-20 of 2 pi, where R^rot(t) = -R^rot(2 pi - t) is
+        # -(gamma + log e)/e to 40 digits at e = 2 pi - t; near is exact at
+        # 30 digits, and e is formed from it at 60
+        for t in (0, mp.mpf(0), -0.0):
+            with pytest.raises(ValueError):
+                specfun.r_rot_value(t, dps=30)
+        with mp.workdps(30):
             near = 2 * mp.pi - mp.mpf("1e-20")
-        with pytest.raises(ArithmeticError):
-            specfun.r_rot_value(near, dps=30)
+        with mp.workdps(60):
+            seven = mp.mpf(7) - 2 * mp.pi
+            e = 2 * mp.pi - near
+            want = -(mp.euler + mp.log(e)) / e
+        for got, want in ((specfun.r_rot_value(7, 30),
+                           specfun.r_rot_value(seven, 30)),
+                          (specfun.r_rot_value(near, 30), want)):
+            with mp.workdps(60):
+                assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want)
+
+    @pytest.mark.parametrize("t", ["0.2", "3.0", "4.0", "6.2", "9.5"])
+    def test_odd_at_negative_t(self, t):
+        dps = 50
+        a, b = specfun.r_rot_value(t, dps), specfun.r_rot_value("-" + t, dps)
+        with mp.workdps(dps + 20):
+            assert abs(a + b) <= mp.mpf(10) ** -dps * max(1, abs(a))
+
+    @pytest.mark.parametrize("e", ["1e-6", "1e-30"])
+    def test_near_two_pi(self, e):
+        # t = 2 pi - e, exact at 50 digits, against Lerch's closed form with
+        # 1 - a = e/(2 pi) formed directly: no reflection, no power series
+        dps = 50
+        with mp.workdps(dps):
+            t = 2 * mp.pi - mp.mpf(e)
+        with mp.workdps(dps + 40):
+            b = (2 * mp.pi - t) / (2 * mp.pi)
+            a = 1 - b
+            want = -((mp.log(2 * mp.pi) + mp.euler)
+                     * (mp.digamma(a) - mp.digamma(b))
+                     + mp.stieltjes(1, b) - mp.stieltjes(1, a)) / (2 * mp.pi)
+            got = specfun.r_rot_value(t, dps)
+            assert abs(got - want) <= mp.mpf(10) ** -dps * abs(want)
 
     def test_below_the_float_range(self):
         # t/(2 pi) is 0 as a float; the power series is about 10^-800 of

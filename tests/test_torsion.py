@@ -7,6 +7,7 @@ independent route (special-function values and quadrature on one side,
 exact series coefficients on the other).
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -60,6 +61,21 @@ class TestGroupTorsion:
             with pytest.raises(ValueError):
                 torsion.torsion_group(0, bad_t, dps=30)
 
+    def test_cold_near_two_pi(self, monkeypatch):
+        # R^rot sums at 2 pi - t there: 2 weights, not a table without end
+        monkeypatch.setattr(numerics, "_TABLES", {})
+        monkeypatch.setattr(specfun, "_zeta_prime_neg_at", functools.lru_cache(
+            specfun._zeta_prime_neg_at.__wrapped__))
+        with mp.workdps(50):
+            t = 2 * mp.pi - mp.mpf("1e-6")
+        start = time.perf_counter()
+        value = torsion.torsion_group(0, t, 50)
+        assert time.perf_counter() - start < 0.1
+        with mp.workdps(70):
+            want = (2 * specfun.r_rot_value(t, 50) * mp.cos(t / 2)
+                    / mp.sin(t / 2))
+            assert abs(value - want) <= mp.mpf(10) ** -49 * abs(want)
+
     def test_untwisted_log_sum_vanishes(self):
         # |ell + 1| <= 1 has no log-sum: pure 2 R^rot cos/sin
         mp.dps = 30
@@ -77,8 +93,9 @@ class TestIClass:
         # every table entry through m = 201 at dps 50 meets it, and the
         # I-class weights share one sign, so their sum is at least |w_1|
         # and a cut at 10^-wdps |u| is relative
+        # (R^rot sums at t <= pi only, and needs 101 weights at t = pi)
         dps = 50
-        specfun.r_rot_value("3.5", dps)
+        specfun.r_rot_value(mp.pi, dps)
         torsion.i_class_value(0, "3.5", dps)
         with mp.workdps(dps + GUARD_DPS):
             prec = mp.prec
@@ -239,13 +256,19 @@ class TestPrecisionTables:
 
     def test_values_do_not_depend_on_call_order(self, monkeypatch):
         # a fresh process builds dps 50 first; this one builds dps 100
-        # first, from empty tables, under a global precision of 15
+        # first, from empty tables, under a global precision of 15.  The
+        # fresh process fills zeta'(-7) by a top-level call before R^rot
+        # reads it as a weight; this one fills it through R^rot, a nested
+        # call that does not round, and then asks for it
         script = (
             "from mpmath import mp\n"
-            "from p1torsion import torsion\n"
+            "from p1torsion import specfun, torsion\n"
             "for dps in (50, 100):\n"
             "    for f in (torsion.i_class_direct, torsion.i_class_value):\n"
             "        v = f(3, '4.3', dps=dps)\n"
+            "        print(v.man, v.exp)\n"
+            "    for v in (specfun.zeta_prime_neg(7, dps),\n"
+            "              specfun.r_rot_value('2.0', dps)):\n"
             "        print(v.man, v.exp)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         fresh = subprocess.run([sys.executable, "-c", script], env=env,
@@ -253,18 +276,28 @@ class TestPrecisionTables:
                                check=True).stdout.split("\n")
 
         monkeypatch.setattr(numerics, "_TABLES", {})
+        monkeypatch.setattr(specfun, "_zeta_prime_neg_at", functools.lru_cache(
+            specfun._zeta_prime_neg_at.__wrapped__))
         mp.dps = 15
         got = {}
+
+        def record(name, dps, v):
+            got.setdefault((name, dps), set()).add(f"{v.man} {v.exp}")
+
         for dps in (100, 50, 100):
             for f in (torsion.i_class_direct, torsion.i_class_value):
-                v = f(3, "4.3", dps=dps)
-                got.setdefault((f.__name__, dps), set()).add(
-                    f"{v.man} {v.exp}")
+                record(f.__name__, dps, f(3, "4.3", dps=dps))
+            record("r_rot_value", dps, specfun.r_rot_value("2.0", dps))
+            record("zeta_prime_neg", dps, specfun.zeta_prime_neg(7, dps))
         assert mp.dps == 15
         assert got == {("i_class_direct", 50): {fresh[0]},
                        ("i_class_value", 50): {fresh[1]},
-                       ("i_class_direct", 100): {fresh[2]},
-                       ("i_class_value", 100): {fresh[3]}}
+                       ("zeta_prime_neg", 50): {fresh[2]},
+                       ("r_rot_value", 50): {fresh[3]},
+                       ("i_class_direct", 100): {fresh[4]},
+                       ("i_class_value", 100): {fresh[5]},
+                       ("zeta_prime_neg", 100): {fresh[6]},
+                       ("r_rot_value", 100): {fresh[7]}}
 
 
 class TestTdchs:
@@ -276,6 +309,13 @@ class TestTdchs:
         got = series.evaluate(t, dps=40)
         want = torsion.tdchs_value(ell, t, dps=40).payload
         assert abs(got - want) < mp.mpf(10) ** -25
+
+    @pytest.mark.parametrize("t", ["-0.7", "-1.3"])
+    def test_series_matches_quadrature_at_negative_t(self, t):
+        # the series takes LOG_T = log|t|; the integral takes log t^2
+        got = torsion.tdchs_series(1, order=40).payload.evaluate(t, dps=40)
+        want = torsion.tdchs_value(1, t, dps=40).payload
+        assert abs(got - want) < mp.mpf(10) ** -25 * max(1, abs(want))
 
     def test_twist_reflection_symmetry(self):
         a = torsion.tdchs_series(1, order=12).payload
@@ -347,6 +387,14 @@ class TestTwoParameter:
                 assert err < prev / 5  # linear vanishing in t
             prev = err
         assert prev < mp.mpf("5e-3")
+
+    def test_negative_angle_sum(self):
+        # s + t = -0.6: the bilateral-sum route takes R^rot at a negative
+        # angle.  The torsion is even under (s, t) -> (-s, -t), and at
+        # (1, -0.4) both routes stay at positive angles
+        got = torsion.torsion_two_param(0, "-1.0", "0.4", dps=30)
+        want = torsion.torsion_two_param(0, "1.0", "-0.4", dps=30)
+        assert abs(got - want) <= mp.mpf(10) ** -30 * max(1, abs(want))
 
     def test_routes_agree_at_fifty_digits(self):
         # the bounded k-sum brings the route gap to about 1e-52 here; a
